@@ -139,11 +139,10 @@ void BM_AprioriKms(benchmark::State& state) {
 BENCHMARK(BM_AprioriKms);
 
 void BM_LocativeAvlInsertSelect(benchmark::State& state) {
-  const SequenceDatabase db = MicroDb();
   for (auto _ : state) {
     LocativeAvlTree tree;
     for (std::uint32_t h = 0; h < 512; ++h) {
-      tree.Insert(db[h % db.size()].Prefix(3), h);
+      tree.Insert(RankKey{h % 61, 1 + h % 7, ExtType::kSequence}, h);
     }
     benchmark::DoNotOptimize(tree.SelectKey(tree.size() / 2));
     std::vector<std::uint32_t> out;

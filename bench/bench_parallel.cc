@@ -4,12 +4,11 @@
 //
 // Every multi-threaded run is checked byte-for-byte against the serial
 // PatternSet (the deterministic-merge guarantee of docs/PARALLELISM.md);
-// any mismatch fails the binary. A machine-readable
-// BENCH_parallel_scaling.json is written by default (--json-out overrides
-// the path, --json-out= with an empty value suppresses it).
+// any mismatch fails the binary. A machine-readable report is written only
+// when --json-out=FILE is given.
 //
 //   $ ./bench_parallel [--ncust=10000] [--minsup=0.01]
-//                      [--threads-list=1,2,4,8] [--seed=42]
+//                      [--threads-list=1,2,4,8] [--seed=42] [--json-out=FILE]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -74,7 +73,6 @@ int main(int argc, char** argv) {
   WorkloadInfo workload = MakeWorkloadInfo(db, "quest:fig8");
   workload.min_support_count = options.min_support_count;
   obs.SetWorkload(workload);
-  BenchReport report("parallel_scaling", workload);
 
   bool identical = true;
   TablePrinter table({"algo", "threads", "time (s)", "speedup", "#patterns",
@@ -97,7 +95,6 @@ int main(int argc, char** argv) {
       const bool same = patterns.ToString() == baseline;
       identical = identical && same;
       obs.Record(miner->last_stats());
-      report.AddRun(miner->last_stats());
       table.AddRow(
           {algo, std::to_string(threads), TablePrinter::Num(seconds),
            TablePrinter::Num(seconds > 0.0 ? serial_seconds / seconds : 0.0),
@@ -114,20 +111,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  bool ok = obs.Finish();
-  std::string json_path = flags.GetString("json-out", "");
-  if (json_path.empty() && !flags.Has("json-out")) {
-    json_path = "BENCH_parallel_scaling.json";
-  }
-  if (!json_path.empty() && obs.json_out().empty()) {
-    std::string error;
-    if (report.WriteJson(json_path, &error)) {
-      std::printf("wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "bench_parallel: %s\n", error.c_str());
-      ok = false;
-    }
-  }
+  const bool ok = obs.Finish();
   if (!identical) {
     std::fprintf(stderr,
                  "bench_parallel: multi-threaded PatternSet differs from the "

@@ -11,7 +11,6 @@
 //               [--trace-out=trace.json] [--json-out=report.json]
 //               [--progress] [--progress-period-ms=N]
 //               [--metrics-out=m.prom] [--events-out=e.jsonl]
-//               [--simd=off|sse2|avx2|auto]
 //   $ ./seqmine --serve [input.spmf] [--permissive] [--serve-threads=N]
 //   $ ./seqmine --connect=ADDR [input.spmf] [--minsup=F | --delta=N] ...
 //   $ ./seqmine input.spmf --pack=out.dsa [--shards=N]
@@ -33,10 +32,7 @@
 // records instead of failing; --deadline-ms stops the run cooperatively,
 // keeping the exact partial result; --failpoints arms fault-injection
 // sites (same syntax as the DISC_FAILPOINTS environment variable; see
-// docs/ROBUSTNESS.md). --simd pins the mismatch-scan kernel tier for the
-// encoded comparative order (same values as the DISC_SIMD environment
-// variable; the flag wins — see docs/BENCHMARKS.md); the mined patterns
-// are byte-identical at every tier.
+// docs/ROBUSTNESS.md).
 //
 // --serve enters the seqmined line protocol on stdin/stdout (docs/
 // SERVER.md) — identical to running the seqmined binary — optionally
@@ -86,7 +82,6 @@ int Usage() {
       "               [--stats] [--trace-out=FILE] [--json-out=FILE]\n"
       "               [--progress] [--progress-period-ms=N]\n"
       "               [--metrics-out=FILE] [--events-out=FILE]\n"
-      "               [--simd=off|sse2|avx2|auto]\n"
       "       seqmine --serve [input.spmf] [--permissive]\n"
       "               [--serve-threads=N]\n"
       "       seqmine --connect=ADDR [input.spmf] [--permissive]\n"
@@ -414,16 +409,6 @@ int main(int argc, char** argv) {
   const bool mine_shards = flags.Has("mine-shards");
   if (flags.positional().empty() && !serve && !connect && !mine_shards) {
     return Usage();
-  }
-
-  if (flags.Has("simd") &&
-      !disc::ConfigureSimd(flags.GetString("simd", "auto"))) {
-    std::fprintf(stderr,
-                 "seqmine: --simd=%s is invalid or unsupported on this "
-                 "machine (best tier: %s)\n",
-                 flags.GetString("simd", "").c_str(),
-                 disc::SimdTierName(disc::BestSimdTier()));
-    return kExitUsage;
   }
 
   if (flags.Has("failpoints")) {

@@ -1,5 +1,7 @@
 #include "disc/algo/pattern_set.h"
 
+#include <iterator>
+
 #include "disc/common/check.h"
 
 namespace disc {
@@ -10,6 +12,21 @@ void PatternSet::Add(const Sequence& pattern, std::uint32_t support) {
   if (!inserted) {
     DISC_CHECK_MSG(it->second == support,
                    "pattern reported twice with different supports");
+  }
+}
+
+void PatternSet::Absorb(PatternSet&& other) {
+  auto hint = patterns_.end();
+  while (!other.patterns_.empty()) {
+    auto node = other.patterns_.extract(other.patterns_.begin());
+    const auto it = patterns_.insert(hint, std::move(node));
+    // A failed insert (the pattern is already here) leaves `node` owning
+    // its element.
+    if (!node.empty()) {
+      DISC_CHECK_MSG(it->second == node.mapped(),
+                     "pattern reported twice with different supports");
+    }
+    hint = std::next(it);
   }
 }
 

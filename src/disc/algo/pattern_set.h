@@ -23,6 +23,13 @@ class PatternSet {
   /// supports aborts (it would mean a miner double-reported).
   void Add(const Sequence& pattern, std::uint32_t support);
 
+  /// Moves every pattern of `other` into this set (no copy), leaving
+  /// `other` empty; a pattern in both must carry the same support, as for
+  /// Add. Each insert is hinted at the position after the previous one, so
+  /// merging a set whose patterns land contiguously here — a partition's
+  /// result into the run's output — costs O(1) per pattern after the first.
+  void Absorb(PatternSet&& other);
+
   /// True if the pattern was recorded.
   bool Contains(const Sequence& pattern) const;
 

@@ -337,7 +337,7 @@ class PartitionMiner {
     }
     RunDiscLoop(pairs, std::move(sorted_list), 4, delta, config_.bilevel,
                 max_item_, options_.max_length, &result_.patterns, nullptr,
-                config_.use_avl, config_.encoded_order);
+                config_.use_avl);
   }
 
   const SequenceDatabase& db_;
@@ -543,7 +543,9 @@ class Run {
     // ---- Step 4: deterministic merge. Patterns of length >= 2 with
     // minimum item λ are found only in the ⟨λ⟩-partition, so the union is
     // disjoint; folding ascending in λ keeps the gauge arithmetic (and
-    // with it MineStats) independent of scheduling.
+    // with it MineStats) independent of scheduling. Each partition's
+    // patterns move into the output (they sit contiguously after ⟨(λ)⟩),
+    // so no second copy of the result is ever alive.
     //
     // On a stop (cancellation, deadline, contained worker failure) only
     // the leading run of completed partitions is merged, and the
@@ -565,10 +567,8 @@ class Run {
     std::uint64_t level1_partitions = 0;
     std::size_t arena_bytes_peak = 0;
     for (std::size_t i = 0; i < merged; ++i) {
-      const PartitionResult& r = results[i];
-      for (const auto& [pattern, support] : r.patterns) {
-        out_.Add(pattern, support);
-      }
+      PartitionResult& r = results[i];
+      out_.Absorb(std::move(r.patterns));
       ++level0_partitions;
       level0_ratio_sum += r.level0_ratio;
       if (r.has_level1) {

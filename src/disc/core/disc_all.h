@@ -48,13 +48,6 @@ class DiscAll : public Miner, public FirstLevelConsumer {
     /// the bench_micro --alloc-compare mode. Output is byte-identical
     /// either way.
     bool arena_scratch = true;
-    /// Run the k >= 4 DISC loops on the encoded comparative order
-    /// (order/encoded.h): dense item remap, word-scan comparisons,
-    /// prefix-skip CKMS walks, cached embedding ends. False keeps the
-    /// legacy itemset-by-itemset scans as an ablation (bench_kernels
-    /// measures the gap; output is byte-identical either way, enforced by
-    /// parallel_determinism_test).
-    bool encoded_order = true;
     /// Skip a partition's remaining machinery (reduce, second-level
     /// partitioning, DISC loop) when the Geerts-style candidate upper
     /// bound over its frequent extensions proves no deeper frequent
@@ -71,7 +64,6 @@ class DiscAll : public Miner, public FirstLevelConsumer {
   std::string name() const override {
     std::string n = config_.bilevel ? "disc-all" : "disc-all-nobilevel";
     if (!config_.arena_scratch) n += "-ownedscratch";
-    if (!config_.encoded_order) n += "-legacyorder";
     if (!config_.bound_pruning) n += "-nobound";
     return n;
   }

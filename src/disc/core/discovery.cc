@@ -6,9 +6,9 @@
 #include "disc/common/check.h"
 #include "disc/core/counting_array.h"
 #include "disc/core/ksorted.h"
+#include "disc/core/rank_key.h"
 #include "disc/obs/metrics.h"
 #include "disc/order/compare.h"
-#include "disc/order/encoded.h"
 #include "disc/seq/extension.h"
 
 namespace disc {
@@ -39,6 +39,20 @@ void AttributeSupportIncrements(const CountingArray& counts,
 #endif
 }
 
+// Sizing bound for the bi-level counting array: the harvest only counts
+// extension items drawn from the member sequences, so their largest item
+// suffices (the pass-construction cost is the zero-init of 2·(bound+1)
+// entries, and the database-wide max_item can be far larger).
+Item BilevelCountsBound(const PartitionMembers& members, Item max_item) {
+  Item local = 0;
+  for (const PartitionMember& m : members) {
+    for (const Item x : m.seq.items()) local = std::max(local, x);
+  }
+  if (local >= max_item) return max_item;
+  DISC_OBS_INC(g_bound_presizes);
+  return local;
+}
+
 // The re-sort ablation: a flat (key, entry) vector, fully std::sort-ed
 // after every advance batch, in place of the locative AVL tree. Same
 // semantics, O(n log n) per DISC iteration instead of O(batch · log n).
@@ -47,11 +61,11 @@ DiscoveryResult DiscoverFrequentKResort(
     const DiscoveryOptions& options) {
   DiscoveryResult result;
   struct Slot {
-    Sequence key;
+    RankKey key;
     SequenceView seq;
     const SequenceIndex* index;
     Cid cid;
-    std::uint32_t apriori;
+    KmsScanState state;
   };
   std::deque<SequenceIndex> owned;
   std::vector<Slot> slots;
@@ -61,43 +75,42 @@ DiscoveryResult DiscoverFrequentKResort(
       owned.emplace_back(m.seq);
       index = &owned.back();
     }
-    KmsResult r = AprioriKms(m.seq, sorted_list, index);
+    KmsScanState state;
+    const KmsResult r = AprioriKms(m.seq, sorted_list, index, &state);
     if (!r.found) continue;
-    slots.push_back({std::move(r.kmin), m.seq, index, m.cid, r.prefix_index});
+    slots.push_back({r.key, m.seq, index, m.cid, std::move(state)});
   }
   auto resort = [&slots] {
     std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-      return CompareSequences(a.key, b.key) < 0;
+      return CompareRankKeys(a.key, b.key) < 0;
     });
   };
   resort();
-  CountingArray counts(options.bilevel ? options.max_item : 0);
+  CountingArray counts(
+      options.bilevel ? BilevelCountsBound(members, options.max_item) : 0);
   while (slots.size() >= options.delta) {
     ++result.iterations;
     DISC_OBS_INC(g_iterations);
-    const Sequence alpha1 = slots.front().key;
-    const Sequence alpha_delta = slots[options.delta - 1].key;
-    const bool frequent = CompareSequences(alpha1, alpha_delta) == 0;
+    const RankKey alpha1 = slots.front().key;
+    const RankKey alpha_delta = slots[options.delta - 1].key;
+    const bool frequent = alpha1 == alpha_delta;
     // The affected prefix of the sorted vector: the equal-key run
     // (frequent) or everything below alpha_delta (non-frequent).
     std::size_t cut = 0;
     while (cut < slots.size() &&
-           CompareSequences(slots[cut].key,
-                            frequent ? alpha1 : alpha_delta) <
-               (frequent ? 1 : 0)) {
+           CompareRankKeys(slots[cut].key, alpha_delta) < (frequent ? 1 : 0)) {
       ++cut;
     }
     if (frequent) {
       DISC_OBS_INC(g_frequent_buckets);
       DISC_OBS_RECORD(g_bucket_size, cut);
-      result.frequent_k.emplace_back(alpha1,
-                                     static_cast<std::uint32_t>(cut));
+      Sequence pattern = KeySequence(sorted_list, alpha1);
       if (options.bilevel) {
         DISC_OBS_INC(g_virtual_partitions);
         counts.Reset();
         for (std::size_t i = 0; i < cut; ++i) {
           ForEachExtension(
-              slots[i].seq, alpha1,
+              slots[i].seq, pattern,
               [&counts, &slots, i](Item x, ExtType type) {
                 counts.Add(x, type, slots[i].cid);
               },
@@ -105,23 +118,24 @@ DiscoveryResult DiscoverFrequentKResort(
         }
         for (const auto& [x, type] :
              counts.FrequentExtensions(options.delta)) {
-          result.frequent_k1.emplace_back(Extend(alpha1, x, type),
+          result.frequent_k1.emplace_back(Extend(pattern, x, type),
                                           counts.Count(x, type));
         }
         AttributeSupportIncrements(counts, options.k + 1);
       }
+      result.frequent_k.emplace_back(std::move(pattern),
+                                     static_cast<std::uint32_t>(cut));
     } else {
       DISC_OBS_INC(g_infrequent_skips);
     }
-    const CkmsBound bound = CkmsBound::Make(alpha_delta, frequent);
+    const CkmsBound bound{alpha_delta, frequent};
     std::size_t keep = 0;
     for (std::size_t i = 0; i < cut; ++i) {
       Slot& s = slots[i];
-      KmsResult r = AprioriCkms(s.seq, sorted_list, s.apriori, bound,
-                                s.index);
+      const KmsResult r =
+          AprioriCkms(s.seq, sorted_list, bound, s.index, &s.state);
       if (!r.found) continue;
-      s.key = std::move(r.kmin);
-      s.apriori = r.prefix_index;
+      s.key = r.key;
       if (keep != i) std::swap(slots[keep], slots[i]);
       ++keep;
     }
@@ -144,49 +158,17 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
     return DiscoverFrequentKResort(members, sorted_list, options);
   }
 
-  // Encoded-order setup (order/encoded.h): one dense remap per pass over
-  // the partition's item universe. Keys generated by (C)KMS draw their
-  // prefixes from the sorted list and their extension items from the member
-  // sequences, so noting both covers every sequence the pass compares.
-  ItemEncoder encoder(options.max_item);
-  EncodedList encoded_list;
-  EncodedOrder encoded;
-  const EncodedOrder* encoded_ptr = nullptr;
-  if (options.encoded_order) {
-    for (const PartitionMember& m : members) encoder.NoteItems(m.seq);
-    for (const Sequence& f : sorted_list) encoder.NoteItems(f);
-    encoder.Finalize();
-    encoded_list.Build(sorted_list, encoder);
-    encoded.encoder = &encoder;
-    encoded.list = &encoded_list;
-    encoded_ptr = &encoded;
-  }
-
-  KSortedDatabase sd(members, &sorted_list, options.k, encoded_ptr);
-  // The bi-level harvest only ever counts extension items drawn from the
-  // member sequences, all of which the encoder has noted — so when the
-  // encoded order is on, size the counting array to the partition's local
-  // alphabet instead of the database-wide max_item (the pass-construction
-  // cost is the zero-init of 2·(max_item+1) entries).
-  Item counts_max = 0;
-  if (options.bilevel) {
-    counts_max = options.max_item;
-    if (options.encoded_order && encoder.max_noted() < counts_max) {
-      counts_max = encoder.max_noted();
-      DISC_OBS_INC(g_bound_presizes);
-    }
-  }
-  CountingArray counts(counts_max);
+  KSortedDatabase sd(members, &sorted_list, options.k);
+  CountingArray counts(
+      options.bilevel ? BilevelCountsBound(members, options.max_item) : 0);
   std::vector<std::uint32_t> handles;
 
   while (sd.size() >= options.delta) {
     ++result.iterations;
     DISC_OBS_INC(g_iterations);
-    // Copies, not references: the tree nodes holding these keys are about to
-    // be removed.
-    const Sequence alpha1 = sd.MinKey();
-    const Sequence alpha_delta = sd.SelectKey(options.delta);
-    const bool frequent = CompareSequences(alpha1, alpha_delta) == 0;
+    const RankKey alpha1 = sd.MinKey();
+    const RankKey alpha_delta = sd.SelectKey(options.delta);
+    const bool frequent = alpha1 == alpha_delta;
     handles.clear();
     if (frequent) {
       // Lemma 2.1: the whole minimum bucket supports α₁ and nothing else
@@ -195,8 +177,7 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
       DISC_CHECK(handles.size() >= options.delta);
       DISC_OBS_INC(g_frequent_buckets);
       DISC_OBS_RECORD(g_bucket_size, handles.size());
-      result.frequent_k.emplace_back(
-          alpha1, static_cast<std::uint32_t>(handles.size()));
+      Sequence pattern = sd.KeySequence(alpha1);
       if (options.bilevel) {
         // The bucket is the paper's "virtual partition": count every valid
         // one-item extension of α₁ per supporter to find the frequent
@@ -208,7 +189,7 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
         for (const std::uint32_t h : handles) {
           const KSortedEntry& e = sd.entry(h);
           ForEachExtension(
-              e.seq, alpha1,
+              e.seq, pattern,
               [&counts, &e](Item x, ExtType type) {
                 counts.Add(x, type, e.cid);
               },
@@ -216,26 +197,25 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
         }
         for (const auto& [x, type] :
              counts.FrequentExtensions(options.delta)) {
-          result.frequent_k1.emplace_back(Extend(alpha1, x, type),
+          result.frequent_k1.emplace_back(Extend(pattern, x, type),
                                           counts.Count(x, type));
         }
         AttributeSupportIncrements(counts, options.k + 1);
       }
-      // Supporters move strictly past α_δ (== α₁ here).
-      const CkmsBound bound = sd.MakeBound(alpha_delta, /*strict=*/true);
-      for (const std::uint32_t h : handles) {
-        sd.AdvanceAndReinsert(h, bound);
-      }
+      result.frequent_k.emplace_back(
+          std::move(pattern), static_cast<std::uint32_t>(handles.size()));
     } else {
       // Lemma 2.2: every k-sequence in [α₁, α_δ) is non-frequent; skip them
       // all by advancing the sub-δ entries to >= α_δ.
       DISC_OBS_INC(g_infrequent_skips);
       sd.PopAllLess(alpha_delta, &handles);
       DISC_CHECK(!handles.empty());
-      const CkmsBound bound = sd.MakeBound(alpha_delta, /*strict=*/false);
-      for (const std::uint32_t h : handles) {
-        sd.AdvanceAndReinsert(h, bound);
-      }
+    }
+    // Supporters of a frequent α₁ move strictly past α_δ (== α₁); skipped
+    // entries move to >= α_δ.
+    const CkmsBound bound{alpha_delta, /*strict=*/frequent};
+    for (const std::uint32_t h : handles) {
+      sd.AdvanceAndReinsert(h, bound);
     }
   }
   return result;

@@ -11,7 +11,8 @@
 //                  advance all entries below α_δ to >= α_δ (non-strict);
 //
 // until fewer than δ sequences remain. No support count of a non-frequent
-// k-sequence is ever computed.
+// k-sequence is ever computed. Keys are rank keys (core/rank_key.h); a
+// key becomes a Sequence only when its bucket is emitted as frequent.
 #ifndef DISC_CORE_DISCOVERY_H_
 #define DISC_CORE_DISCOVERY_H_
 
@@ -36,12 +37,6 @@ struct DiscoveryOptions {
   /// ablation (bench_ablations) and differential oracle. Results are
   /// identical either way.
   bool use_avl = true;
-  /// Run the AVL path on the encoded comparative order (order/encoded.h):
-  /// dense item remap, word-scan comparisons, prefix-skip CKMS walks, and
-  /// cached embedding ends. False keeps the legacy itemset-by-itemset
-  /// scans (ablation). Results are identical either way; the re-sort
-  /// ablation (use_avl = false) always runs legacy.
-  bool encoded_order = true;
 };
 
 /// Output of one discovery pass.

@@ -244,7 +244,7 @@ class Run {
       const std::size_t patterns_before = out->size();
       RunDiscLoop(members, std::move(sorted_list), k + 2, delta,
                   config_.bilevel, db_.max_item(), options_.max_length,
-                  out, nullptr, /*use_avl=*/true, config_.encoded_order);
+                  out, nullptr);
       if (root_tel) {
         tel_->PartitionDone(0, 1, out->size() - patterns_before);
       }
@@ -334,8 +334,7 @@ class Run {
       }
       const std::size_t patterns_before = out_.size();
       RunDiscLoop(members, std::move(sorted_list), 2, delta, config_.bilevel,
-                  db_.max_item(), options_.max_length, &out_, nullptr,
-                  /*use_avl=*/true, config_.encoded_order);
+                  db_.max_item(), options_.max_length, &out_, nullptr);
       if (tel_ != nullptr) {
         tel_->PartitionDone(0, 1, out_.size() - patterns_before);
       }
@@ -467,9 +466,7 @@ class Run {
       }
     }
     for (std::size_t i = 0; i < merged; ++i) {
-      for (const auto& [pattern, support] : results[i]) {
-        out_.Add(pattern, support);
-      }
+      out_.Absorb(std::move(results[i]));
     }
     if (merged < viable.size()) {
       root_truncated_ = true;

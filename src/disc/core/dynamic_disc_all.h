@@ -46,10 +46,6 @@ class DynamicDiscAll : public Miner, public FirstLevelConsumer {
     /// DISC from length 2, 2 = DISC-all's two-level scheme, large = pure
     /// pattern growth).
     std::int32_t fixed_levels = -1;
-    /// Run the DISC loops on the encoded comparative order
-    /// (order/encoded.h); false keeps the legacy scans as an ablation.
-    /// Output is byte-identical either way.
-    bool encoded_order = true;
     /// Stop recursing into a partition when the Geerts-style candidate
     /// upper bound over its frequent extensions is zero — no deeper
     /// frequent sequence can exist (core/candidate_bound.h). Counted by

@@ -53,9 +53,7 @@ struct FirstLevelState {
 
   /// Per-partition alphabet: alphabet_of[x] = the distinct items occurring
   /// anywhere in the ⟨x⟩-partition's member sequences, ascending — the
-  /// universe a partition-local ItemEncoder (order/encoded.h) assigns dense
-  /// codes to, and the bound for every counting/filter table the partition
-  /// needs.
+  /// bound for every counting/filter table the partition needs.
   std::vector<std::vector<Item>> alphabet_of;
 
   /// FNV-1a over the database's itemset boundaries and items — one O(n)

@@ -2,7 +2,6 @@
 
 #include "disc/common/check.h"
 #include "disc/obs/metrics.h"
-#include "disc/order/simd.h"
 #include "disc/seq/extension.h"
 
 namespace disc {
@@ -10,17 +9,7 @@ namespace {
 
 DISC_OBS_COUNTER(g_initial_scans, "kms.initial_scans");
 DISC_OBS_COUNTER(g_ckms_advances, "kms.ckms_advances");
-DISC_OBS_COUNTER(g_walk_skips, "disc.encode.walk_skips");
-DISC_OBS_COUNTER(g_walk_compares, "disc.encode.compares");
-DISC_OBS_COUNTER(g_scan_reuses, "disc.encode.scan_reuses");
-
-// The extension type by which `bound` grew out of its (k-1)-prefix: itemset
-// if the last item shares its transaction with the previous item.
-ExtType LastExtType(const Sequence& bound) {
-  const std::uint32_t last_txn = bound.NumTransactions() - 1;
-  return bound.TxnSize(last_txn) >= 2 ? ExtType::kItemset
-                                      : ExtType::kSequence;
-}
+DISC_OBS_COUNTER(g_scan_reuses, "kms.scan_reuses");
 
 // Extension sets of sorted_list[idx] in s through the scan-state cache: a
 // hit answers min-extension queries by binary search, skipping both the
@@ -65,120 +54,33 @@ KmsResult AprioriKms(SequenceView s,
                      const std::vector<Sequence>& sorted_list,
                      const SequenceIndex* index, KmsScanState* state) {
   DISC_OBS_INC(g_initial_scans);
-  KmsResult result;
   for (std::uint32_t idx = 0; idx < sorted_list.size(); ++idx) {
     const MinExtension ext =
         ScanEntry(s, sorted_list[idx], idx, nullptr, false, index, state);
-    if (!ext.found) continue;
-    result.found = true;
-    result.kmin = Extend(sorted_list[idx], ext.item, ext.type);
-    result.prefix_index = idx;
-    return result;
+    if (ext.found) return KmsResult{true, RankKey{idx, ext.item, ext.type}};
   }
-  return result;
-}
-
-CkmsBound CkmsBound::Make(const Sequence& bound, bool strict,
-                          const ItemEncoder* encoder) {
-  DISC_CHECK(!bound.Empty());
-  CkmsBound out;
-  out.prefix = bound.Prefix(bound.Length() - 1);
-  out.floor = {bound.LastItem(), LastExtType(bound)};
-  out.strict = strict;
-  if (encoder != nullptr) {
-    EncodeSequence(out.prefix, *encoder, &out.encoded_prefix);
-  }
-  return out;
+  return KmsResult{};
 }
 
 KmsResult AprioriCkms(SequenceView s,
                       const std::vector<Sequence>& sorted_list,
-                      std::uint32_t start_index, const CkmsBound& bound,
-                      const SequenceIndex* index, const EncodedList* elist,
+                      const CkmsBound& bound, const SequenceIndex* index,
                       KmsScanState* state) {
   DISC_OBS_INC(g_ckms_advances);
-  KmsResult result;
-  // Steps 4-7 of Figure 6: advance to the first list entry >= the bound's
-  // prefix. The apriori pointer makes this a short walk.
-  std::uint32_t idx = start_index;
-  // Compare result of sorted_list[idx] vs bound.prefix, when known without
-  // re-deriving (encoded walk); kUnknown falls back to a per-entry compare.
-  constexpr int kUnknown = 2;
-  int cmp = kUnknown;
-  if (elist != nullptr) {
-    DISC_DCHECK(elist->size() == sorted_list.size());
-    const EncodedWord* bp = bound.encoded_prefix.data();
-    const std::size_t bn = bound.encoded_prefix.size();
-    std::uint32_t lcp = 0;
-    std::uint32_t walk_compares = 0;
-    std::uint32_t walk_skips = 0;
-    if (idx < elist->size()) {
-      ++walk_compares;
-      cmp = SimdCompareFrom(elist->WordsBegin(idx), elist->NumWords(idx), bp,
-                            bn, 0, &lcp);
-    }
-    while (idx < elist->size() && cmp < 0) {
-      ++idx;
-      if (idx >= elist->size()) break;
-      const std::uint32_t p = elist->LcpWithPrev(idx);
-      if (p > lcp) {
-        // The entry agrees with its predecessor beyond the predecessor's
-        // differential point with the bound, so it compares the same way
-        // (< 0) with the same LCP: skip it without reading any words.
-        ++walk_skips;
-        continue;
-      }
-      if (p < lcp) {
-        // The entry departs from its predecessor before the bound does;
-        // ascending order forces entry[p] > predecessor[p] == bound[p].
-        ++walk_skips;
-        cmp = 1;
-        lcp = p;
-        continue;  // loop condition exits
-      }
-      ++walk_compares;
-      cmp = SimdCompareFrom(elist->WordsBegin(idx), elist->NumWords(idx), bp,
-                            bn, lcp, &lcp);
-    }
-    DISC_OBS_ADD(g_walk_compares, walk_compares);
-    if (walk_skips != 0) DISC_OBS_ADD(g_walk_skips, walk_skips);
-  } else {
-    while (idx < sorted_list.size() &&
-           CompareSequences(sorted_list[idx], bound.prefix) < 0) {
-      ++idx;
-    }
-    cmp = kUnknown;
-  }
-  // Distinct keys: only the first non-less entry can equal the prefix.
-  bool maybe_at_bound = true;
-  for (; idx < sorted_list.size(); ++idx) {
-    const Sequence& prefix = sorted_list[idx];
-    // Only extensions of the bound's own prefix are floor-constrained;
-    // prefix-compatibility puts every extension of a larger prefix above
-    // the bound already.
-    const bool at_bound_prefix =
-        maybe_at_bound &&
-        (cmp != kUnknown ? cmp == 0
-                         : CompareSequences(prefix, bound.prefix) == 0);
-    maybe_at_bound = cmp == kUnknown;  // legacy mode re-checks every entry
+  DISC_DCHECK(bound.key.prefix < sorted_list.size());
+  // Only extensions of the bound's own prefix are floor-constrained;
+  // prefix-compatibility puts every extension of a larger prefix above the
+  // bound already.
+  const std::pair<Item, ExtType> floor{bound.key.item, bound.key.type};
+  for (std::uint32_t idx = bound.key.prefix; idx < sorted_list.size();
+       ++idx) {
+    const bool at_bound = idx == bound.key.prefix;
     const MinExtension ext =
-        ScanEntry(s, prefix, idx, at_bound_prefix ? &bound.floor : nullptr,
-                  at_bound_prefix && bound.strict, index, state);
-    if (!ext.found) continue;
-    result.found = true;
-    result.kmin = Extend(prefix, ext.item, ext.type);
-    result.prefix_index = idx;
-    return result;
+        ScanEntry(s, sorted_list[idx], idx, at_bound ? &floor : nullptr,
+                  at_bound && bound.strict, index, state);
+    if (ext.found) return KmsResult{true, RankKey{idx, ext.item, ext.type}};
   }
-  return result;
-}
-
-KmsResult AprioriCkms(SequenceView s,
-                      const std::vector<Sequence>& sorted_list,
-                      std::uint32_t start_index, const Sequence& bound,
-                      bool strict) {
-  return AprioriCkms(s, sorted_list, start_index,
-                     CkmsBound::Make(bound, strict));
+  return KmsResult{};
 }
 
 }  // namespace disc

@@ -22,8 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "disc/core/rank_key.h"
 #include "disc/order/compare.h"
-#include "disc/order/encoded.h"
 #include "disc/seq/extension.h"
 #include "disc/seq/index.h"
 #include "disc/seq/sequence.h"
@@ -36,11 +36,9 @@ struct KmsResult {
   /// False when the sequence admits no qualifying k-subsequence (the
   /// customer sequence leaves the k-sorted database).
   bool found = false;
-  /// The (conditional) k-minimum subsequence.
-  Sequence kmin;
-  /// Index into the (k-1)-sorted list of kmin's prefix — the paper's
-  /// "apriori pointer", passed back to AprioriCkms to skip re-scanning.
-  std::uint32_t prefix_index = 0;
+  /// The (conditional) k-minimum subsequence, as a key over the sorted
+  /// list; key.prefix is the paper's "apriori pointer".
+  RankKey key;
 };
 
 /// Reusable per-customer-sequence advance state: the complete extension
@@ -49,7 +47,7 @@ struct KmsResult {
 /// consecutive (C)KMS generations land on the same prefix index — the
 /// common case, since a bucket advance usually only changes the bound's
 /// tail — the floored minimum is answered by binary search into the cached
-/// sets ("disc.encode.scan_reuses") instead of re-walking the customer
+/// sets ("kms.scan_reuses") instead of re-walking the customer
 /// sequence. Only the single last-scanned entry is worth caching: the
 /// apriori pointer is monotone, so every entry past it is scanned at most
 /// once per pass (a full per-entry memo was tried and never hit). The state
@@ -71,48 +69,25 @@ KmsResult AprioriKms(SequenceView s,
                      const SequenceIndex* index = nullptr,
                      KmsScanState* state = nullptr);
 
-/// A condition k-sequence, preprocessed for repeated CKMS calls: the DISC
-/// loop advances a whole bucket against the same bound, so the prefix split
-/// and last-extension decomposition are done once per iteration instead of
-/// once per customer sequence.
+/// A condition k-sequence (paper Definition 2.5) and its Ω.
 struct CkmsBound {
-  Sequence prefix;                       ///< the bound's (k-1)-prefix
-  std::pair<Item, ExtType> floor;        ///< the bound's final extension
-  bool strict = false;                   ///< Ω: '>' when true, '>=' else
-  /// Encoded form of `prefix` (empty in legacy mode, or when the prefix is
-  /// itself empty — the encoded walk keys off its EncodedList instead).
-  std::vector<EncodedWord> encoded_prefix;
-
-  /// Decomposes a k-sequence bound. The bound must be non-empty. When
-  /// `encoder` is given the prefix is encoded for the prefix-skip walk.
-  static CkmsBound Make(const Sequence& bound, bool strict,
-                        const ItemEncoder* encoder = nullptr);
+  RankKey key;          ///< the condition k-sequence, over the sorted list
+  bool strict = false;  ///< Ω: '>' when true, '>=' else
 };
 
 /// The conditional k-minimum subsequence of s (Definition 2.5): minimum
 /// qualifying k-subsequence that compares > bound (strict) or >= bound.
-/// The bound's (k-1)-prefix must be in the list. `start_index` is the
-/// sequence's apriori pointer (0 is always safe). Figure 6.
-///
-/// `elist`, when non-null, must be the encoded form of `sorted_list` (and
-/// the bound made with the same encoder): the advance-to-bound walk then
-/// runs on encoded words and skips entries via the list's precomputed
-/// LCP-with-predecessor — an entry whose shared prefix with its predecessor
-/// extends past the predecessor's differential point compares identically
-/// and is decided without reading a single word. `state` caches the
-/// leftmost embedding across calls (see KmsScanState).
+/// Figure 6. Steps 4-7 walk the apriori pointer up to the first list entry
+/// at or above the bound's prefix; with rank keys that entry is
+/// bound.key.prefix itself, so the scan starts there. (Every entry the DISC
+/// loop advances holds a key at most the bound, so its own pointer never
+/// lies past it.) `state` caches the at-bound entry's extension sets across
+/// calls (see KmsScanState).
 KmsResult AprioriCkms(SequenceView s,
                       const std::vector<Sequence>& sorted_list,
-                      std::uint32_t start_index, const CkmsBound& bound,
+                      const CkmsBound& bound,
                       const SequenceIndex* index = nullptr,
-                      const EncodedList* elist = nullptr,
                       KmsScanState* state = nullptr);
-
-/// Convenience overload decomposing the bound per call.
-KmsResult AprioriCkms(SequenceView s,
-                      const std::vector<Sequence>& sorted_list,
-                      std::uint32_t start_index, const Sequence& bound,
-                      bool strict);
 
 }  // namespace disc
 

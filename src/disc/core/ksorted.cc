@@ -1,49 +1,28 @@
 #include "disc/core/ksorted.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "disc/common/check.h"
-#include "disc/order/simd.h"
+#include "disc/order/compare.h"
 
 namespace disc {
-namespace {
-
-// The encoded key of a k-minimum subsequence: its (k-1)-prefix is
-// sorted_list[prefix_index], whose words already sit in the encoded list,
-// so the key is that word stream plus one appended word for the final
-// extension — no re-walk of the Sequence. The appended boundary bit is 1
-// iff the extension opened a new transaction (an s-extension).
-void EncodeKmin(const EncodedOrder& encoded, const Sequence& kmin,
-                std::uint32_t prefix_index, std::vector<EncodedWord>* out) {
-  const EncodedList& list = *encoded.list;
-  const EncodedWord* w = list.WordsBegin(prefix_index);
-  const std::uint32_t n = list.NumWords(prefix_index);
-  out->reserve(n + 1);
-  out->assign(w, w + n);
-  const std::uint32_t last_txn = kmin.NumTransactions() - 1;
-  const EncodedWord boundary = kmin.TxnSize(last_txn) == 1 ? 1 : 0;
-  const std::uint32_t code = encoded.encoder->Code(kmin.LastItem());
-  DISC_DCHECK(code != 0);
-  out->push_back((code << 1) | boundary);
-  DISC_DCHECK([&] {  // the shortcut must equal a full re-encode
-    std::vector<EncodedWord> full;
-    EncodeSequence(kmin, *encoded.encoder, &full);
-    return SimdCompare(full, *out) == 0;
-  }());
-}
-
-}  // namespace
 
 KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
                                  const std::vector<Sequence>* sorted_list,
-                                 std::uint32_t k,
-                                 const EncodedOrder* encoded)
-    : sorted_list_(sorted_list), encoded_(encoded), k_(k) {
+                                 std::uint32_t k)
+    : sorted_list_(sorted_list), k_(k) {
   DISC_CHECK(sorted_list_ != nullptr);
   DISC_CHECK(k_ >= 1);
+  // Rank keys order like their sequences only over a strictly ascending
+  // list (core/rank_key.h).
+  DISC_DCHECK(std::adjacent_find(sorted_list_->begin(), sorted_list_->end(),
+                                 [](const Sequence& a, const Sequence& b) {
+                                   return CompareSequences(a, b) >= 0;
+                                 }) == sorted_list_->end());
   entries_.reserve(members.size());
   index_ptrs_.reserve(members.size());
-  if (encoded_ != nullptr) scan_states_.reserve(members.size());
+  scan_states_.reserve(members.size());
   for (const PartitionMember& m : members) {
     const SequenceIndex* index = m.index;
     if (index == nullptr) {
@@ -53,53 +32,23 @@ KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
       index = &owned_indexes_.back();
     }
     KmsScanState state;
-    KmsResult r = AprioriKms(m.seq, *sorted_list_, index,
-                             encoded_ != nullptr ? &state : nullptr);
+    const KmsResult r = AprioriKms(m.seq, *sorted_list_, index, &state);
     if (!r.found) continue;
-    DISC_DCHECK(r.kmin.Length() == k_);
-    entries_.push_back(KSortedEntry{m.seq, m.cid, r.prefix_index});
+    const std::uint32_t handle = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(KSortedEntry{m.seq, m.cid});
     index_ptrs_.push_back(index);
-    const std::uint32_t handle =
-        static_cast<std::uint32_t>(entries_.size() - 1);
-    if (encoded_ != nullptr) {
-      scan_states_.push_back(state);
-      std::vector<EncodedWord> ekey;
-      EncodeKmin(*encoded_, r.kmin, r.prefix_index, &ekey);
-      tree_.Insert(std::move(r.kmin), std::move(ekey), handle);
-    } else {
-      tree_.Insert(std::move(r.kmin), handle);
-    }
+    scan_states_.push_back(std::move(state));
+    tree_.Insert(r.key, handle);
   }
-}
-
-void KSortedDatabase::PopAllLess(const Sequence& bound,
-                                 std::vector<std::uint32_t>* handles) {
-  if (encoded_ == nullptr) {
-    tree_.PopAllLess(bound, handles);
-    return;
-  }
-  EncodeSequence(bound, *encoded_->encoder, &ebound_scratch_);
-  tree_.PopAllLess(bound, &ebound_scratch_, handles);
 }
 
 bool KSortedDatabase::AdvanceAndReinsert(std::uint32_t handle,
                                          const CkmsBound& bound) {
-  KSortedEntry& e = entries_[handle];
-  const bool enc = encoded_ != nullptr;
-  KmsResult r = AprioriCkms(e.seq, *sorted_list_, e.apriori, bound,
-                            index_ptrs_[handle],
-                            enc ? encoded_->list : nullptr,
-                            enc ? &scan_states_[handle] : nullptr);
+  const KmsResult r =
+      AprioriCkms(entries_[handle].seq, *sorted_list_, bound,
+                  index_ptrs_[handle], &scan_states_[handle]);
   if (!r.found) return false;
-  DISC_DCHECK(r.kmin.Length() == k_);
-  e.apriori = r.prefix_index;
-  if (enc) {
-    std::vector<EncodedWord> ekey;
-    EncodeKmin(*encoded_, r.kmin, r.prefix_index, &ekey);
-    tree_.Insert(std::move(r.kmin), std::move(ekey), handle);
-  } else {
-    tree_.Insert(std::move(r.kmin), handle);
-  }
+  tree_.Insert(r.key, handle);
   return true;
 }
 

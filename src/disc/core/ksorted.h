@@ -2,11 +2,11 @@
 // their current (conditional) k-minimum subsequence, ordered by the
 // comparative order and indexed by a locative AVL tree.
 //
-// Keys live only in the tree nodes (one copy per distinct key); entries
-// carry the paper's "apriori pointer" — the index of the current key's
-// (k-1)-prefix in the (k-1)-sorted list — so that conditional
-// re-generation (Apriori-CKMS) resumes where the previous generation left
-// off.
+// Keys are rank keys over the (k-1)-sorted list (core/rank_key.h) and live
+// only in the tree nodes (one copy per distinct key). A key's prefix index
+// is the paper's "apriori pointer", so entries need no pointer of their
+// own: conditional re-generation (Apriori-CKMS) resumes at the bound's
+// prefix, which no advanced entry's key lies beyond.
 #ifndef DISC_CORE_KSORTED_H_
 #define DISC_CORE_KSORTED_H_
 
@@ -15,8 +15,9 @@
 #include <vector>
 
 #include "disc/core/kms.h"
-#include "disc/core/member.h"
 #include "disc/core/locative_avl.h"
+#include "disc/core/member.h"
+#include "disc/core/rank_key.h"
 #include "disc/seq/sequence.h"
 #include "disc/seq/types.h"
 
@@ -26,7 +27,6 @@ namespace disc {
 struct KSortedEntry {
   SequenceView seq;               ///< the customer sequence (not owned)
   Cid cid = 0;                    ///< caller-scoped id (for counting arrays)
-  std::uint32_t apriori = 0;      ///< prefix index of the current key
 };
 
 /// K-sorted database. Construction runs Apriori-KMS on every member;
@@ -35,23 +35,22 @@ class KSortedDatabase {
  public:
   /// `sorted_list` holds the frequent (k-1)-sequences ascending; for k == 1
   /// pass a single empty sequence. The list is borrowed and must outlive
-  /// this object. `encoded`, when non-null, activates the encoded-order
-  /// fast paths (docs in order/encoded.h): its list must be the encoded
-  /// form of `sorted_list`, keys are stored encoded in the tree, and every
-  /// entry keeps a KmsScanState across advances. Both pointees are borrowed.
+  /// this object. Every entry keeps a KmsScanState across advances.
   KSortedDatabase(const PartitionMembers& members,
-                  const std::vector<Sequence>* sorted_list, std::uint32_t k,
-                  const EncodedOrder* encoded = nullptr);
+                  const std::vector<Sequence>* sorted_list, std::uint32_t k);
 
   /// Number of customer sequences still present.
   std::size_t size() const { return tree_.size(); }
 
   /// α₁ — the minimum key. Requires size() > 0.
-  const Sequence& MinKey() const { return tree_.MinKey(); }
+  RankKey MinKey() const { return tree_.MinKey(); }
 
   /// α_rank — key at the 1-based rank (α_δ for rank δ).
-  const Sequence& SelectKey(std::size_t rank) const {
-    return tree_.SelectKey(rank);
+  RankKey SelectKey(std::size_t rank) const { return tree_.SelectKey(rank); }
+
+  /// The sequence a key of this database stands for.
+  Sequence KeySequence(const RankKey& key) const {
+    return disc::KeySequence(*sorted_list_, key);
   }
 
   /// Pops the minimum bucket (all entries whose key equals α₁); the handles
@@ -61,15 +60,9 @@ class KSortedDatabase {
     tree_.PopMinBucket(handles);
   }
 
-  /// Pops every entry with key < bound. The bound must be encodable (any
-  /// tree key is) when the database runs in encoded mode.
-  void PopAllLess(const Sequence& bound, std::vector<std::uint32_t>* handles);
-
-  /// Decomposes a bound for AdvanceAndReinsert, encoding its prefix when
-  /// this database runs in encoded mode.
-  CkmsBound MakeBound(const Sequence& bound, bool strict) const {
-    return CkmsBound::Make(bound, strict,
-                           encoded_ != nullptr ? encoded_->encoder : nullptr);
+  /// Pops every entry with key < bound.
+  void PopAllLess(const RankKey& bound, std::vector<std::uint32_t>* handles) {
+    tree_.PopAllLess(bound, handles);
   }
 
   /// Entry access by handle (valid for popped handles until re-advanced).
@@ -82,9 +75,10 @@ class KSortedDatabase {
     return *index_ptrs_[handle];
   }
 
-  /// Re-generates the entry's key as its conditional k-minimum subsequence
-  /// under `bound` and re-inserts it; the entry is dropped when no such
-  /// subsequence exists. Returns true if the entry survived.
+  /// Re-generates a popped entry's key as its conditional k-minimum
+  /// subsequence under `bound` and re-inserts it; the entry is dropped when
+  /// no such subsequence exists. The entry's previous key must not exceed
+  /// the bound. Returns true if the entry survived.
   bool AdvanceAndReinsert(std::uint32_t handle, const CkmsBound& bound);
 
   /// The k of this database.
@@ -92,12 +86,10 @@ class KSortedDatabase {
 
  private:
   const std::vector<Sequence>* sorted_list_;
-  const EncodedOrder* encoded_;  // nullptr = legacy comparative-order path
   std::uint32_t k_;
   std::vector<KSortedEntry> entries_;
   std::vector<const SequenceIndex*> index_ptrs_;  // parallel to entries_
-  std::vector<KmsScanState> scan_states_;         // parallel (encoded mode)
-  std::vector<EncodedWord> ebound_scratch_;       // PopAllLess bound encoding
+  std::vector<KmsScanState> scan_states_;         // parallel to entries_
   std::deque<SequenceIndex> owned_indexes_;       // for index-less members
   LocativeAvlTree tree_;
 };

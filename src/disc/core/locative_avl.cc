@@ -4,282 +4,246 @@
 #include <cstdlib>
 
 #include "disc/common/check.h"
-#include "disc/order/simd.h"
 
 namespace disc {
 
-LocativeAvlTree::~LocativeAvlTree() { Destroy(root_); }
-
-void LocativeAvlTree::Destroy(Node* n) {
-  if (n == nullptr) return;
-  Destroy(n->left);
-  Destroy(n->right);
-  delete n;
+void LocativeAvlTree::Update(std::uint32_t n) {
+  Node& node = nodes_[n];
+  node.height = 1 + std::max(Height(node.left), Height(node.right));
+  node.count = node.bucket_size + Count(node.left) + Count(node.right);
+  node.weight = node.bucket_weight + Weight(node.left) + Weight(node.right);
 }
 
-void LocativeAvlTree::Update(Node* n) {
-  n->height = 1 + std::max(Height(n->left), Height(n->right));
-  n->count = n->bucket.size() + Count(n->left) + Count(n->right);
-  n->weight = n->bucket_weight + Weight(n->left) + Weight(n->right);
-}
-
-LocativeAvlTree::Node* LocativeAvlTree::RotateLeft(Node* n) {
-  Node* r = n->right;
-  n->right = r->left;
-  r->left = n;
+std::uint32_t LocativeAvlTree::RotateLeft(std::uint32_t n) {
+  const std::uint32_t r = nodes_[n].right;
+  nodes_[n].right = nodes_[r].left;
+  nodes_[r].left = n;
   Update(n);
   Update(r);
   return r;
 }
 
-LocativeAvlTree::Node* LocativeAvlTree::RotateRight(Node* n) {
-  Node* l = n->left;
-  n->left = l->right;
-  l->right = n;
+std::uint32_t LocativeAvlTree::RotateRight(std::uint32_t n) {
+  const std::uint32_t l = nodes_[n].left;
+  nodes_[n].left = nodes_[l].right;
+  nodes_[l].right = n;
   Update(n);
   Update(l);
   return l;
 }
 
-LocativeAvlTree::Node* LocativeAvlTree::Rebalance(Node* n) {
+std::uint32_t LocativeAvlTree::Rebalance(std::uint32_t n) {
   Update(n);
-  const std::int32_t balance = Height(n->left) - Height(n->right);
+  const std::uint32_t left = nodes_[n].left;
+  const std::uint32_t right = nodes_[n].right;
+  const std::int32_t balance = Height(left) - Height(right);
   if (balance > 1) {
-    if (Height(n->left->left) < Height(n->left->right)) {
-      n->left = RotateLeft(n->left);
+    if (Height(nodes_[left].left) < Height(nodes_[left].right)) {
+      nodes_[n].left = RotateLeft(left);
     }
     return RotateRight(n);
   }
   if (balance < -1) {
-    if (Height(n->right->right) < Height(n->right->left)) {
-      n->right = RotateRight(n->right);
+    if (Height(nodes_[right].right) < Height(nodes_[right].left)) {
+      nodes_[n].right = RotateRight(right);
     }
     return RotateLeft(n);
   }
   return n;
 }
 
-LocativeAvlTree::Node* LocativeAvlTree::InsertAt(Node* n, Sequence* key,
-                                                 std::uint32_t handle,
-                                                 double weight) {
-  if (n == nullptr) {
-    Node* fresh = new Node;
-    fresh->key = std::move(*key);
-    fresh->bucket.push_back(handle);
-    fresh->count = 1;
-    fresh->bucket_weight = weight;
-    fresh->weight = weight;
-    ++num_nodes_;
-    return fresh;
-  }
-  const int cmp = CompareSequences(*key, n->key);
-  if (cmp == 0) {
-    n->bucket.push_back(handle);
-    ++n->count;
-    n->bucket_weight += weight;
-    n->weight += weight;
-    return n;
-  }
-  if (cmp < 0) {
-    n->left = InsertAt(n->left, key, handle, weight);
+std::uint32_t LocativeAvlTree::NewNode(const RankKey& key) {
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].left;
+    nodes_[n] = Node{};
   } else {
-    n->right = InsertAt(n->right, key, handle, weight);
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
   }
-  return Rebalance(n);
-}
-
-void LocativeAvlTree::Insert(const Sequence& key, std::uint32_t handle,
-                             double weight) {
-  Sequence copy = key;
-  root_ = InsertAt(root_, &copy, handle, weight);
-  ++size_;
-}
-
-void LocativeAvlTree::Insert(Sequence&& key, std::uint32_t handle,
-                             double weight) {
-  root_ = InsertAt(root_, &key, handle, weight);
-  ++size_;
-}
-
-LocativeAvlTree::Node* LocativeAvlTree::InsertEncodedAt(
-    Node* n, Sequence* key, std::vector<EncodedWord>* ekey,
-    std::uint32_t handle, double weight, std::uint32_t llcp,
-    std::uint32_t hlcp) {
-  if (n == nullptr) {
-    Node* fresh = new Node;
-    fresh->key = std::move(*key);
-    fresh->ekey = std::move(*ekey);
-    fresh->bucket.push_back(handle);
-    fresh->count = 1;
-    fresh->bucket_weight = weight;
-    fresh->weight = weight;
-    ++num_nodes_;
-    return fresh;
-  }
-  DISC_DCHECK(n->key.Empty() || !n->ekey.empty());  // no mixed-mode trees
-  std::uint32_t lcp = 0;
-  const int cmp = SimdCompareFrom(ekey->data(), ekey->size(), n->ekey.data(),
-                                  n->ekey.size(), std::min(llcp, hlcp), &lcp);
-  if (cmp == 0) {
-    n->bucket.push_back(handle);
-    ++n->count;
-    n->bucket_weight += weight;
-    n->weight += weight;
-    return n;
-  }
-  if (cmp < 0) {
-    // n becomes the tightest upper fence of the left subtree.
-    n->left = InsertEncodedAt(n->left, key, ekey, handle, weight, llcp, lcp);
-  } else {
-    n->right = InsertEncodedAt(n->right, key, ekey, handle, weight, lcp,
-                               hlcp);
-  }
-  return Rebalance(n);
-}
-
-void LocativeAvlTree::Insert(Sequence&& key, std::vector<EncodedWord>&& ekey,
-                             std::uint32_t handle, double weight) {
-  root_ = InsertEncodedAt(root_, &key, &ekey, handle, weight, 0, 0);
-  ++size_;
-}
-
-const LocativeAvlTree::Node* LocativeAvlTree::MinNode(const Node* n) {
-  DISC_CHECK(n != nullptr);
-  while (n->left != nullptr) n = n->left;
+  nodes_[n].key = key;
+  ++num_nodes_;
   return n;
 }
 
-const Sequence& LocativeAvlTree::MinKey() const {
-  return MinNode(root_)->key;
+void LocativeAvlTree::AddToBucket(std::uint32_t n, std::uint32_t handle,
+                                  double weight) {
+  if (handle >= next_.size()) next_.resize(handle + 1, kNil);
+  next_[handle] = kNil;
+  Node& node = nodes_[n];
+  if (node.head == kNil) {
+    node.head = handle;
+  } else {
+    next_[node.tail] = handle;
+  }
+  node.tail = handle;
+  ++node.bucket_size;
+  ++node.count;
+  node.bucket_weight += weight;
+  node.weight += weight;
 }
 
-const std::vector<std::uint32_t>& LocativeAvlTree::MinBucket() const {
-  return MinNode(root_)->bucket;
+std::uint32_t LocativeAvlTree::InsertAt(std::uint32_t n, const RankKey& key,
+                                        std::uint32_t handle, double weight) {
+  if (n == kNil) {
+    const std::uint32_t fresh = NewNode(key);
+    AddToBucket(fresh, handle, weight);
+    return fresh;
+  }
+  const int cmp = CompareRankKeys(key, nodes_[n].key);
+  if (cmp == 0) {
+    AddToBucket(n, handle, weight);
+    return n;
+  }
+  // The recursive call may grow the pool, so no Node reference is held
+  // across it.
+  if (cmp < 0) {
+    const std::uint32_t child = InsertAt(nodes_[n].left, key, handle, weight);
+    nodes_[n].left = child;
+  } else {
+    const std::uint32_t child =
+        InsertAt(nodes_[n].right, key, handle, weight);
+    nodes_[n].right = child;
+  }
+  return Rebalance(n);
 }
 
-const Sequence& LocativeAvlTree::SelectKey(std::size_t rank) const {
+void LocativeAvlTree::Insert(RankKey key, std::uint32_t handle,
+                             double weight) {
+  root_ = InsertAt(root_, key, handle, weight);
+  ++size_;
+}
+
+std::uint32_t LocativeAvlTree::MinNode() const {
+  DISC_CHECK(root_ != kNil);
+  std::uint32_t n = root_;
+  while (nodes_[n].left != kNil) n = nodes_[n].left;
+  return n;
+}
+
+const RankKey& LocativeAvlTree::SelectKey(std::size_t rank) const {
   DISC_CHECK(rank >= 1 && rank <= size_);
-  const Node* n = root_;
+  std::uint32_t n = root_;
   for (;;) {
-    const std::size_t left = Count(n->left);
+    const Node& node = nodes_[n];
+    const std::size_t left = Count(node.left);
     if (rank <= left) {
-      n = n->left;
-    } else if (rank <= left + n->bucket.size()) {
-      return n->key;
+      n = node.left;
+    } else if (rank <= left + node.bucket_size) {
+      return node.key;
     } else {
-      rank -= left + n->bucket.size();
-      n = n->right;
+      rank -= left + node.bucket_size;
+      n = node.right;
     }
   }
 }
 
-const Sequence& LocativeAvlTree::SelectKeyByWeight(double w) const {
+const RankKey& LocativeAvlTree::SelectKeyByWeight(double w) const {
   DISC_CHECK(w > 0.0 && w <= Weight(root_));
-  const Node* n = root_;
+  std::uint32_t n = root_;
   for (;;) {
-    DISC_CHECK(n != nullptr);
-    const double left = Weight(n->left);
+    DISC_CHECK(n != kNil);
+    const Node& node = nodes_[n];
+    const double left = Weight(node.left);
     if (w <= left) {
-      n = n->left;
-    } else if (w <= left + n->bucket_weight) {
-      return n->key;
+      n = node.left;
+    } else if (w <= left + node.bucket_weight) {
+      return node.key;
     } else {
-      w -= left + n->bucket_weight;
-      n = n->right;
+      w -= left + node.bucket_weight;
+      n = node.right;
     }
   }
 }
 
-double LocativeAvlTree::TotalWeight() const { return Weight(root_); }
-
-LocativeAvlTree::Node* LocativeAvlTree::RemoveMin(Node* n, Node** removed) {
-  if (n->left == nullptr) {
+std::uint32_t LocativeAvlTree::RemoveMin(std::uint32_t n,
+                                         std::uint32_t* removed) {
+  if (nodes_[n].left == kNil) {
     *removed = n;
-    return n->right;
+    return nodes_[n].right;
   }
-  n->left = RemoveMin(n->left, removed);
+  nodes_[n].left = RemoveMin(nodes_[n].left, removed);
   return Rebalance(n);
 }
 
 void LocativeAvlTree::PopMinBucket(std::vector<std::uint32_t>* out) {
-  DISC_CHECK(root_ != nullptr);
-  Node* removed = nullptr;
+  DISC_CHECK(root_ != kNil);
+  std::uint32_t removed = kNil;
   root_ = RemoveMin(root_, &removed);
-  size_ -= removed->bucket.size();
+  Node& node = nodes_[removed];
+  for (std::uint32_t h = node.head; h != kNil; h = next_[h]) {
+    out->push_back(h);
+  }
+  size_ -= node.bucket_size;
   --num_nodes_;
-  out->insert(out->end(), removed->bucket.begin(), removed->bucket.end());
-  delete removed;
+  node.left = free_;
+  free_ = removed;
 }
 
-void LocativeAvlTree::PopAllLess(const Sequence& bound,
+void LocativeAvlTree::PopAllLess(RankKey bound,
                                  std::vector<std::uint32_t>* out) {
-  while (root_ != nullptr && CompareSequences(MinKey(), bound) < 0) {
-    PopMinBucket(out);
-  }
-}
-
-void LocativeAvlTree::PopAllLess(const Sequence& bound,
-                                 const std::vector<EncodedWord>* ebound,
-                                 std::vector<std::uint32_t>* out) {
-  if (ebound == nullptr) {
-    PopAllLess(bound, out);
-    return;
-  }
-  while (root_ != nullptr) {
-    const Node* min = MinNode(root_);
-    if (SimdCompare(min->ekey, *ebound) >= 0) break;
+  while (root_ != kNil && CompareRankKeys(MinKey(), bound) < 0) {
     PopMinBucket(out);
   }
 }
 
 void LocativeAvlTree::Clear() {
-  Destroy(root_);
-  root_ = nullptr;
+  nodes_.clear();
+  next_.clear();
+  free_ = kNil;
+  root_ = kNil;
   size_ = 0;
   num_nodes_ = 0;
 }
 
-void LocativeAvlTree::InorderKeys(std::vector<Sequence>* out) const {
+void LocativeAvlTree::InorderKeys(std::vector<RankKey>* out) const {
   // Iterative inorder to avoid writing another recursive helper.
-  std::vector<const Node*> stack;
-  const Node* n = root_;
-  while (n != nullptr || !stack.empty()) {
-    while (n != nullptr) {
+  std::vector<std::uint32_t> stack;
+  std::uint32_t n = root_;
+  while (n != kNil || !stack.empty()) {
+    while (n != kNil) {
       stack.push_back(n);
-      n = n->left;
+      n = nodes_[n].left;
     }
     n = stack.back();
     stack.pop_back();
-    out->push_back(n->key);
-    n = n->right;
+    out->push_back(nodes_[n].key);
+    n = nodes_[n].right;
   }
 }
 
-bool LocativeAvlTree::CheckNode(const Node* n, const Sequence** prev,
+void LocativeAvlTree::CheckNode(std::uint32_t n, const RankKey** prev,
                                 bool* ok) const {
-  if (n == nullptr || !*ok) return *ok;
-  CheckNode(n->left, prev, ok);
-  if (*prev != nullptr && CompareSequences(**prev, n->key) >= 0) *ok = false;
-  if (n->bucket.empty()) *ok = false;
-  if (n->height != 1 + std::max(Height(n->left), Height(n->right))) *ok = false;
-  if (std::abs(Height(n->left) - Height(n->right)) > 1) *ok = false;
-  if (n->count != n->bucket.size() + Count(n->left) + Count(n->right)) {
+  if (n == kNil || !*ok) return;
+  const Node& node = nodes_[n];
+  CheckNode(node.left, prev, ok);
+  if (*prev != nullptr && CompareRankKeys(**prev, node.key) >= 0) *ok = false;
+  std::uint32_t listed = 0;
+  for (std::uint32_t h = node.head; h != kNil && listed <= node.bucket_size;
+       h = next_[h]) {
+    ++listed;
+  }
+  if (listed == 0 || listed != node.bucket_size) *ok = false;
+  if (node.height != 1 + std::max(Height(node.left), Height(node.right))) {
+    *ok = false;
+  }
+  if (std::abs(Height(node.left) - Height(node.right)) > 1) *ok = false;
+  if (node.count != node.bucket_size + Count(node.left) + Count(node.right)) {
     *ok = false;
   }
   const double expect_w =
-      n->bucket_weight + Weight(n->left) + Weight(n->right);
+      node.bucket_weight + Weight(node.left) + Weight(node.right);
   const double tol = 1e-9 * std::max(1.0, std::abs(expect_w));
-  if (n->weight < expect_w - tol || n->weight > expect_w + tol) {
+  if (node.weight < expect_w - tol || node.weight > expect_w + tol) {
     *ok = false;
   }
-  *prev = &n->key;
-  CheckNode(n->right, prev, ok);
-  return *ok;
+  *prev = &node.key;
+  CheckNode(node.right, prev, ok);
 }
 
 bool LocativeAvlTree::CheckInvariants() const {
   bool ok = true;
-  const Sequence* prev = nullptr;
+  const RankKey* prev = nullptr;
   CheckNode(root_, &prev, &ok);
   if (Count(root_) != size_) ok = false;
   return ok;

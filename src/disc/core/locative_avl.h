@@ -1,9 +1,10 @@
 // The locative AVL tree (paper §3.2): the index behind the k-sorted
-// database. An order-statistic AVL tree keyed by sequences under the
-// comparative order; every node holds the *bucket* of customer entries whose
-// current k-minimum subsequence equals the node's key, and maintains subtree
-// entry counts so the entry at any rank — in particular the δ-th position,
-// the "condition k-sequence" α_δ — is located in O(log n).
+// database. An order-statistic AVL tree keyed by rank keys
+// (core/rank_key.h) under the comparative order; every node holds the
+// *bucket* of customer entries whose current k-minimum subsequence equals
+// the node's key, and maintains subtree entry counts so the entry at any
+// rank — in particular the δ-th position, the "condition k-sequence" α_δ —
+// is located in O(log n).
 //
 // The paper defers the structure's details to an unavailable technical
 // report; this implementation provides exactly the operations the DISC loop
@@ -11,47 +12,29 @@
 // pop-everything-below-a-bound.
 //
 // Bucket payloads are opaque 32-bit handles (indices into the caller's entry
-// table), keeping the tree independent of the mining state.
+// table), keeping the tree independent of the mining state. Nodes live in a
+// pool that recycles popped nodes, and a bucket is a list threaded through
+// a per-handle link table, so once the pool and the table have grown to
+// the pass's high-water mark an insert allocates nothing.
 #ifndef DISC_CORE_LOCATIVE_AVL_H_
 #define DISC_CORE_LOCATIVE_AVL_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "disc/order/compare.h"
-#include "disc/order/encoded.h"
-#include "disc/seq/sequence.h"
+#include "disc/core/rank_key.h"
 
 namespace disc {
 
 /// Order-statistic AVL tree with per-key buckets. See file comment.
 class LocativeAvlTree {
  public:
-  LocativeAvlTree() = default;
-  ~LocativeAvlTree();
-
-  LocativeAvlTree(const LocativeAvlTree&) = delete;
-  LocativeAvlTree& operator=(const LocativeAvlTree&) = delete;
-
-  /// Inserts a handle under the given key (O(log n), plus a key copy when
-  /// the key is new). `weight` feeds the weighted rank queries (paper §5's
-  /// weighting applications); the default 1.0 makes weighted and plain
-  /// ranks coincide.
-  void Insert(const Sequence& key, std::uint32_t handle, double weight = 1.0);
-
-  /// Move-inserting variant: a new node takes ownership of the key; when
-  /// the key already exists it is simply discarded.
-  void Insert(Sequence&& key, std::uint32_t handle, double weight = 1.0);
-
-  /// Encoded-order insert: `ekey` is the encoded form of `key` (same
-  /// ItemEncoder for every key of this tree — mixing encoded and plain
-  /// inserts in one tree is a programming error, DCHECKed). The descent
-  /// compares encoded words and starts each comparison at the longest
-  /// common prefix the key is known to share with the narrowing fences:
-  /// for lo < x, y < hi under a lexicographic order, lcp(x, y) >=
-  /// min(lcp(x, lo), lcp(x, hi)), so deep descents skip most words.
-  void Insert(Sequence&& key, std::vector<EncodedWord>&& ekey,
-              std::uint32_t handle, double weight = 1.0);
+  /// Inserts a handle under the given key (O(log n)). A handle may sit in
+  /// the tree at most once. `weight` feeds the weighted rank queries (paper
+  /// §5's weighting applications); the default 1.0 makes weighted and
+  /// plain ranks coincide. Keys are taken by value: a key read from this
+  /// tree stays valid while the node pool grows.
+  void Insert(RankKey key, std::uint32_t handle, double weight = 1.0);
 
   /// Total number of handles stored.
   std::size_t size() const { return size_; }
@@ -61,78 +44,82 @@ class LocativeAvlTree {
   std::size_t NumKeys() const { return num_nodes_; }
 
   /// Smallest key (α₁). Tree must be non-empty.
-  const Sequence& MinKey() const;
+  const RankKey& MinKey() const { return nodes_[MinNode()].key; }
 
-  /// Bucket of the smallest key.
-  const std::vector<std::uint32_t>& MinBucket() const;
+  /// Number of handles under the smallest key. Tree must be non-empty.
+  std::size_t MinBucketSize() const { return nodes_[MinNode()].bucket_size; }
 
   /// Key of the entry at 1-based `rank` across bucket multiplicities (the
   /// paper's α_δ for rank δ). Requires 1 <= rank <= size().
-  const Sequence& SelectKey(std::size_t rank) const;
+  const RankKey& SelectKey(std::size_t rank) const;
 
   /// Smallest key whose prefix weight (sum of inserted weights over all
   /// entries with keys <= it) reaches `w` — the weighted analogue of α_δ.
   /// Requires 0 < w <= TotalWeight().
-  const Sequence& SelectKeyByWeight(double w) const;
+  const RankKey& SelectKeyByWeight(double w) const;
 
   /// Sum of all inserted weights.
-  double TotalWeight() const;
+  double TotalWeight() const { return Weight(root_); }
 
-  /// Removes the minimum node entirely, appending its handles to `out`.
+  /// Removes the minimum node entirely, appending its handles to `out` in
+  /// insertion order.
   void PopMinBucket(std::vector<std::uint32_t>* out);
 
   /// Removes every entry whose key is strictly below `bound`, appending the
   /// handles to `out` (ascending key order).
-  void PopAllLess(const Sequence& bound, std::vector<std::uint32_t>* out);
-
-  /// Encoded-order variant: `ebound` must be the encoded form of `bound`
-  /// under the tree's encoder; min-key comparisons run on encoded words.
-  void PopAllLess(const Sequence& bound,
-                  const std::vector<EncodedWord>* ebound,
-                  std::vector<std::uint32_t>* out);
+  void PopAllLess(RankKey bound, std::vector<std::uint32_t>* out);
 
   /// Removes everything.
   void Clear();
 
   /// Appends all keys in ascending order (testing).
-  void InorderKeys(std::vector<Sequence>* out) const;
+  void InorderKeys(std::vector<RankKey>* out) const;
 
-  /// Verifies AVL balance, counts, and key ordering (testing).
+  /// Verifies AVL balance, counts, bucket lists, and key ordering
+  /// (testing).
   bool CheckInvariants() const;
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Node {
-    Sequence key;
-    std::vector<EncodedWord> ekey;  // encoded key (encoded inserts only)
-    std::vector<std::uint32_t> bucket;
-    Node* left = nullptr;
-    Node* right = nullptr;
+    RankKey key;
+    std::uint32_t left = kNil;   // on the free list: the next free node
+    std::uint32_t right = kNil;
     std::int32_t height = 1;
-    std::size_t count = 0;       // handles in this subtree (incl. bucket)
+    std::uint32_t head = kNil;   // first and last handle of the bucket,
+    std::uint32_t tail = kNil;   // linked through next_
+    std::uint32_t bucket_size = 0;
+    std::uint32_t count = 0;     // handles in this subtree (incl. bucket)
     double bucket_weight = 0.0;  // sum of this node's entry weights
     double weight = 0.0;         // subtree weight sum
   };
 
-  static std::int32_t Height(const Node* n) { return n == nullptr ? 0 : n->height; }
-  static std::size_t Count(const Node* n) { return n == nullptr ? 0 : n->count; }
-  static double Weight(const Node* n) { return n == nullptr ? 0.0 : n->weight; }
-  static void Update(Node* n);
-  static Node* RotateLeft(Node* n);
-  static Node* RotateRight(Node* n);
-  static Node* Rebalance(Node* n);
-  Node* InsertAt(Node* n, Sequence* key, std::uint32_t handle,
-                 double weight);
-  // Encoded-order descent with fence LCPs: the key shares `llcp` words with
-  // the tightest lower fence passed so far and `hlcp` with the upper one.
-  Node* InsertEncodedAt(Node* n, Sequence* key,
-                        std::vector<EncodedWord>* ekey, std::uint32_t handle,
-                        double weight, std::uint32_t llcp, std::uint32_t hlcp);
-  static Node* RemoveMin(Node* n, Node** removed);
-  static void Destroy(Node* n);
-  static const Node* MinNode(const Node* n);
-  bool CheckNode(const Node* n, const Sequence** prev, bool* ok) const;
+  std::int32_t Height(std::uint32_t n) const {
+    return n == kNil ? 0 : nodes_[n].height;
+  }
+  std::uint32_t Count(std::uint32_t n) const {
+    return n == kNil ? 0 : nodes_[n].count;
+  }
+  double Weight(std::uint32_t n) const {
+    return n == kNil ? 0.0 : nodes_[n].weight;
+  }
+  void Update(std::uint32_t n);
+  std::uint32_t RotateLeft(std::uint32_t n);
+  std::uint32_t RotateRight(std::uint32_t n);
+  std::uint32_t Rebalance(std::uint32_t n);
+  std::uint32_t NewNode(const RankKey& key);
+  void AddToBucket(std::uint32_t n, std::uint32_t handle, double weight);
+  std::uint32_t InsertAt(std::uint32_t n, const RankKey& key,
+                         std::uint32_t handle, double weight);
+  std::uint32_t RemoveMin(std::uint32_t n, std::uint32_t* removed);
+  std::uint32_t MinNode() const;
+  void CheckNode(std::uint32_t n, const RankKey** prev, bool* ok) const;
 
-  Node* root_ = nullptr;
+  std::vector<Node> nodes_;          // node pool
+  std::uint32_t free_ = kNil;        // recycled nodes, chained via left
+  std::vector<std::uint32_t> next_;  // handle -> next handle in its bucket
+  std::uint32_t root_ = kNil;
   std::size_t size_ = 0;
   std::size_t num_nodes_ = 0;
 };

@@ -164,8 +164,7 @@ void RunDiscLoop(const PartitionMembers& members,
                  std::vector<Sequence> sorted_list, std::uint32_t start_k,
                  std::uint32_t delta, bool bilevel, Item max_item,
                  std::uint32_t max_length, PatternSet* out,
-                 std::uint64_t* iterations, bool use_avl,
-                 bool encoded_order) {
+                 std::uint64_t* iterations, bool use_avl) {
   std::uint32_t k = start_k;
   while (!sorted_list.empty() && members.size() >= delta &&
          (max_length == 0 || k <= max_length)) {
@@ -175,7 +174,6 @@ void RunDiscLoop(const PartitionMembers& members,
     opt.bilevel = bilevel && (max_length == 0 || k + 1 <= max_length);
     opt.max_item = max_item;
     opt.use_avl = use_avl;
-    opt.encoded_order = encoded_order;
     const DiscoveryResult res = DiscoverFrequentK(members, sorted_list, opt);
     if (iterations != nullptr) *iterations += res.iterations;
     for (const auto& [p, sup] : res.frequent_k) out->Add(p, sup);

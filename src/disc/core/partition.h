@@ -87,8 +87,7 @@ void RunDiscLoop(const PartitionMembers& members,
                  std::vector<Sequence> sorted_list, std::uint32_t start_k,
                  std::uint32_t delta, bool bilevel, Item max_item,
                  std::uint32_t max_length, PatternSet* out,
-                 std::uint64_t* iterations, bool use_avl = true,
-                 bool encoded_order = true);
+                 std::uint64_t* iterations, bool use_avl = true);
 
 }  // namespace disc
 

@@ -16,7 +16,6 @@ struct Entry {
   SequenceView seq;
   const SequenceIndex* index;
   double weight;
-  std::uint32_t apriori = 0;
 };
 
 // One weighted DISC pass: all weighted-frequent k-sequences over `entries`
@@ -28,40 +27,42 @@ std::vector<std::pair<Sequence, double>> DiscoverWeightedK(
   if (list.empty()) return out;
 
   std::vector<Entry> entries;
+  std::vector<KmsScanState> states;  // parallel to entries
   entries.reserve(members.size());
+  states.reserve(members.size());
   LocativeAvlTree tree;
   for (const Entry& m : members) {
-    KmsResult r = AprioriKms(m.seq, list, m.index);
+    KmsScanState state;
+    const KmsResult r = AprioriKms(m.seq, list, m.index, &state);
     if (!r.found) continue;
     entries.push_back(m);
-    tree.Insert(std::move(r.kmin),
-                static_cast<std::uint32_t>(entries.size() - 1),
+    states.push_back(std::move(state));
+    tree.Insert(r.key, static_cast<std::uint32_t>(entries.size() - 1),
                 m.weight);
   }
 
   std::vector<std::uint32_t> handles;
   while (tree.TotalWeight() >= min_weight) {
-    const Sequence alpha1 = tree.MinKey();
-    const Sequence alpha_delta = tree.SelectKeyByWeight(min_weight);
+    const RankKey alpha1 = tree.MinKey();
+    const RankKey alpha_delta = tree.SelectKeyByWeight(min_weight);
     handles.clear();
-    const bool frequent = CompareSequences(alpha1, alpha_delta) == 0;
+    const bool frequent = alpha1 == alpha_delta;
     if (frequent) {
       tree.PopMinBucket(&handles);
       double weight = 0.0;
       for (const std::uint32_t h : handles) weight += entries[h].weight;
       DISC_DCHECK(weight >= min_weight - 1e-6 * (1.0 + min_weight));
-      out.emplace_back(alpha1, weight);
+      out.emplace_back(KeySequence(list, alpha1), weight);
     } else {
       tree.PopAllLess(alpha_delta, &handles);
       DISC_CHECK(!handles.empty());
     }
-    const CkmsBound bound = CkmsBound::Make(alpha_delta, /*strict=*/frequent);
+    const CkmsBound bound{alpha_delta, /*strict=*/frequent};
     for (const std::uint32_t h : handles) {
-      Entry& e = entries[h];
-      KmsResult r = AprioriCkms(e.seq, list, e.apriori, bound, e.index);
-      if (!r.found) continue;
-      e.apriori = r.prefix_index;
-      tree.Insert(std::move(r.kmin), h, e.weight);
+      const Entry& e = entries[h];
+      const KmsResult r =
+          AprioriCkms(e.seq, list, bound, e.index, &states[h]);
+      if (r.found) tree.Insert(r.key, h, e.weight);
     }
   }
   return out;
@@ -119,7 +120,7 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
     if (options.weights[cid] <= 0.0 || db[cid].Empty()) continue;
     indexes.emplace_back(db[cid]);
     members.push_back(
-        Entry{db[cid], &indexes.back(), options.weights[cid], 0});
+        Entry{db[cid], &indexes.back(), options.weights[cid]});
   }
 
   // Weighted DISC for k = 2, 3, ... until the weighted-frequent set dries

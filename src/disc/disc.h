@@ -26,9 +26,8 @@
 #include "disc/seq/index.h"        // IWYU pragma: export
 #include "disc/seq/storage.h"      // IWYU pragma: export
 
-// The comparative order (and the SIMD tier knobs for its scan kernels).
+// The comparative order.
 #include "disc/order/compare.h"  // IWYU pragma: export
-#include "disc/order/simd.h"     // IWYU pragma: export
 
 // Mining algorithms and results.
 #include "disc/algo/miner.h"        // IWYU pragma: export

@@ -29,13 +29,6 @@ int CompareSequences(SequenceView a, SequenceView b) {
   return 0;
 }
 
-int CompareExtensions(Item item_a, ExtType type_a, Item item_b,
-                      ExtType type_b) {
-  if (item_a != item_b) return item_a < item_b ? -1 : 1;
-  if (type_a != type_b) return type_a == ExtType::kItemset ? -1 : 1;
-  return 0;
-}
-
 Sequence Extend(const Sequence& pattern, Item item, ExtType type) {
   Sequence out = pattern;
   if (type == ExtType::kItemset) {

@@ -50,9 +50,14 @@ enum class ExtType : std::uint8_t {
 /// Three-way comparison of two one-item extensions of the *same* pattern:
 /// order by item first, then i-extension before s-extension (the
 /// i-extension's final transaction number is smaller). Consistent with
-/// CompareSequences applied to the extended patterns.
-int CompareExtensions(Item item_a, ExtType type_a, Item item_b,
-                      ExtType type_b);
+/// CompareSequences applied to the extended patterns. Inline: it decides
+/// every rank-key comparison of the k-sorted database (core/rank_key.h).
+inline int CompareExtensions(Item item_a, ExtType type_a, Item item_b,
+                             ExtType type_b) {
+  if (item_a != item_b) return item_a < item_b ? -1 : 1;
+  if (type_a != type_b) return type_a == ExtType::kItemset ? -1 : 1;
+  return 0;
+}
 
 /// Applies an extension, returning the grown pattern.
 Sequence Extend(const Sequence& pattern, Item item, ExtType type);

@@ -26,11 +26,8 @@ TEST(Benchlib, WorkloadPresetsMatchPaperTable11) {
 }
 
 TEST(Benchlib, TimeMineReportsResultShape) {
-  QuestParams params = Fig8Params(120);
-  params.nitems = 60;
-  params.npats = 30;
-  params.nlits = 60;
-  const SequenceDatabase db = GenerateQuestDatabase(params);
+  // A sparse Figure 8 draw: about 160 patterns, enough to check the shape.
+  const SequenceDatabase db = GenerateQuestDatabase(Fig8Params(120));
   MineOptions options;
   options.min_support_count = MineOptions::CountForFraction(db.size(), 0.05);
   const auto miner = CreateMiner("disc-all");

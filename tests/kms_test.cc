@@ -14,6 +14,7 @@
 namespace disc {
 namespace {
 
+using testutil::KeyOf;
 using testutil::Seq;
 
 // Builds a plausible frequent-(k-1) list from a pool of sequences: all
@@ -52,24 +53,22 @@ TEST(AprioriKms, NonLeftmostItemsetExtension) {
   const Sequence s = Seq("(a)(c)(c,z)");
   const KmsResult base = AprioriKms(s, list);
   ASSERT_TRUE(base.found);
-  EXPECT_EQ(base.kmin.ToString(), "(a)(c)(c)");
-  const KmsResult next =
-      AprioriCkms(s, list, 0, base.kmin, /*strict=*/true);
+  EXPECT_EQ(KeySequence(list, base.key).ToString(), "(a)(c)(c)");
+  const KmsResult next = AprioriCkms(s, list, {base.key, /*strict=*/true});
   ASSERT_TRUE(next.found);
-  EXPECT_EQ(next.kmin.ToString(), "(a)(c,z)");
-  const KmsResult last =
-      AprioriCkms(s, list, 0, next.kmin, /*strict=*/true);
+  EXPECT_EQ(KeySequence(list, next.key).ToString(), "(a)(c,z)");
+  const KmsResult last = AprioriCkms(s, list, {next.key, /*strict=*/true});
   ASSERT_TRUE(last.found);
-  EXPECT_EQ(last.kmin.ToString(), "(a)(c)(z)");
-  EXPECT_FALSE(AprioriCkms(s, list, 0, last.kmin, /*strict=*/true).found);
+  EXPECT_EQ(KeySequence(list, last.key).ToString(), "(a)(c)(z)");
+  EXPECT_FALSE(AprioriCkms(s, list, {last.key, /*strict=*/true}).found);
 }
 
 TEST(AprioriKms, SkipsUncontainedPrefixes) {
   const std::vector<Sequence> list = {Seq("(a)(a,e)"), Seq("(a)(a,g)")};
   const KmsResult r = AprioriKms(Seq("(a)(a,g,h)(c)"), list);
   ASSERT_TRUE(r.found);
-  EXPECT_EQ(r.kmin.ToString(), "(a)(a,g)(c)");
-  EXPECT_EQ(r.prefix_index, 1u);
+  EXPECT_EQ(KeySequence(list, r.key).ToString(), "(a)(a,g)(c)");
+  EXPECT_EQ(r.key.prefix, 1u);
 }
 
 TEST(AprioriKms, NoResultWhenNothingExtends) {
@@ -96,12 +95,11 @@ TEST_P(KmsProperty, KmsMatchesBruteForce) {
         ASSERT_EQ(got.found, expected.has_value())
             << s.ToString() << " k=" << k;
         if (got.found) {
-          EXPECT_EQ(CompareSequences(got.kmin, *expected), 0)
-              << "got " << got.kmin.ToString() << " expected "
+          const Sequence kmin = KeySequence(list, got.key);
+          EXPECT_EQ(CompareSequences(kmin, *expected), 0)
+              << "got " << kmin.ToString() << " expected "
               << expected->ToString() << " for " << s.ToString();
-          EXPECT_EQ(CompareSequences(list[got.prefix_index],
-                                     got.kmin.Prefix(k - 1)),
-                    0);
+          EXPECT_EQ(KeyOf(list, kmin), got.key);
         }
       }
     }
@@ -130,15 +128,16 @@ TEST_P(KmsProperty, CkmsMatchesBruteForce) {
             }
             for (const bool strict : {false, true}) {
               const KmsResult got =
-                  AprioriCkms(s, list, 0, bound, strict);
+                  AprioriCkms(s, list, {KeyOf(list, bound), strict});
               const auto expected =
                   BruteConditionalKMin(s, k, list, bound, strict);
               ASSERT_EQ(got.found, expected.has_value())
                   << s.ToString() << " bound " << bound.ToString()
                   << " strict " << strict;
               if (got.found) {
-                EXPECT_EQ(CompareSequences(got.kmin, *expected), 0)
-                    << "got " << got.kmin.ToString() << " expected "
+                const Sequence kmin = KeySequence(list, got.key);
+                EXPECT_EQ(CompareSequences(kmin, *expected), 0)
+                    << "got " << kmin.ToString() << " expected "
                     << expected->ToString();
               }
             }
@@ -150,8 +149,11 @@ TEST_P(KmsProperty, CkmsMatchesBruteForce) {
 }
 
 TEST_P(KmsProperty, AprioriPointerSpeedupIsTransparent) {
-  // Starting CKMS from the entry's true apriori pointer must give the same
-  // answer as starting from 0.
+  // CKMS starts its scan at the bound's prefix index — the advanced
+  // entry's own apriori pointer — instead of walking the list from entry
+  // 0; a chain of advances must still visit exactly the brute-force
+  // conditional minima over the whole list, with and without the scan
+  // state carried across calls.
   Rng rng(GetParam() + 900);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<Sequence> pool;
@@ -162,14 +164,24 @@ TEST_P(KmsProperty, AprioriPointerSpeedupIsTransparent) {
     const std::vector<Sequence> list = FrequentList(pool, k - 1, 3);
     if (list.empty()) continue;
     for (const Sequence& s : pool) {
-      const KmsResult base = AprioriKms(s, list);
-      if (!base.found) continue;
-      const KmsResult a =
-          AprioriCkms(s, list, 0, base.kmin, /*strict=*/true);
-      const KmsResult b = AprioriCkms(s, list, base.prefix_index, base.kmin,
-                                      /*strict=*/true);
-      ASSERT_EQ(a.found, b.found);
-      if (a.found) EXPECT_EQ(CompareSequences(a.kmin, b.kmin), 0);
+      KmsScanState state;
+      KmsResult cached = AprioriKms(s, list, nullptr, &state);
+      KmsResult plain = AprioriKms(s, list);
+      while (cached.found) {
+        ASSERT_TRUE(plain.found);
+        ASSERT_EQ(cached.key, plain.key);
+        const Sequence key = KeySequence(list, cached.key);
+        const auto expected =
+            BruteConditionalKMin(s, k, list, key, /*strict=*/true);
+        cached = AprioriCkms(s, list, {cached.key, true}, nullptr, &state);
+        plain = AprioriCkms(s, list, {plain.key, true});
+        ASSERT_EQ(cached.found, expected.has_value()) << s.ToString();
+        if (cached.found) {
+          EXPECT_EQ(CompareSequences(KeySequence(list, cached.key), *expected),
+                    0);
+        }
+      }
+      EXPECT_FALSE(plain.found);
     }
   }
 }

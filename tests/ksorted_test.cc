@@ -8,6 +8,7 @@
 namespace disc {
 namespace {
 
+using testutil::KeyOf;
 using testutil::Seq;
 
 PartitionMembers Members(const SequenceDatabase& db) {
@@ -25,11 +26,11 @@ TEST(KSorted, BuildsTable9) {
   KSortedDatabase sd(Members(part), &list, 4);
   ASSERT_EQ(sd.size(), 6u);
   // Sorted order of Table 9.
-  EXPECT_EQ(sd.MinKey().ToString(), "(a)(a,e)(c)");
-  EXPECT_EQ(sd.SelectKey(1).ToString(), "(a)(a,e)(c)");
-  EXPECT_EQ(sd.SelectKey(2).ToString(), "(a)(a,e,g)");
-  EXPECT_EQ(sd.SelectKey(5).ToString(), "(a)(a,e,g)");
-  EXPECT_EQ(sd.SelectKey(6).ToString(), "(a)(a,g)(c)");
+  EXPECT_EQ(sd.KeySequence(sd.MinKey()).ToString(), "(a)(a,e)(c)");
+  EXPECT_EQ(sd.KeySequence(sd.SelectKey(1)).ToString(), "(a)(a,e)(c)");
+  EXPECT_EQ(sd.KeySequence(sd.SelectKey(2)).ToString(), "(a)(a,e,g)");
+  EXPECT_EQ(sd.KeySequence(sd.SelectKey(5)).ToString(), "(a)(a,e,g)");
+  EXPECT_EQ(sd.KeySequence(sd.SelectKey(6)).ToString(), "(a)(a,g)(c)");
 }
 
 TEST(KSorted, DropsMembersWithoutQualifyingKMin) {
@@ -40,7 +41,7 @@ TEST(KSorted, DropsMembersWithoutQualifyingKMin) {
   const std::vector<Sequence> list = {Seq("(a)"), Seq("(b)")};
   KSortedDatabase sd(Members(db), &list, 2);
   EXPECT_EQ(sd.size(), 1u);
-  EXPECT_EQ(sd.MinKey().ToString(), "(a)(b)");
+  EXPECT_EQ(sd.KeySequence(sd.MinKey()).ToString(), "(a)(b)");
 }
 
 TEST(KSorted, AdvanceAndReinsertMovesKeysForward) {
@@ -50,17 +51,16 @@ TEST(KSorted, AdvanceAndReinsertMovesKeysForward) {
   KSortedDatabase sd(Members(part), &list, 4);
   // Pop the minimum (CID 3's (a)(a,e)(c)) and advance it non-strictly to
   // the key at position 3 — Example 3.4.
-  const Sequence bound = sd.SelectKey(3);
-  EXPECT_EQ(bound.ToString(), "(a)(a,e,g)");
+  const RankKey bound = sd.SelectKey(3);
+  EXPECT_EQ(sd.KeySequence(bound).ToString(), "(a)(a,e,g)");
   std::vector<std::uint32_t> handles;
   sd.PopAllLess(bound, &handles);
   ASSERT_EQ(handles.size(), 1u);
-  EXPECT_TRUE(sd.AdvanceAndReinsert(handles[0],
-                                    CkmsBound::Make(bound, /*strict=*/false)));
+  EXPECT_TRUE(sd.AdvanceAndReinsert(handles[0], {bound, /*strict=*/false}));
   EXPECT_EQ(sd.size(), 6u);
   // Now everything below the δ=3 position is the (a)(a,e,g) run (Table 10).
-  EXPECT_EQ(sd.MinKey().ToString(), "(a)(a,e,g)");
-  EXPECT_EQ(sd.SelectKey(5).ToString(), "(a)(a,e,g)");
+  EXPECT_EQ(sd.MinKey(), bound);
+  EXPECT_EQ(sd.SelectKey(5), bound);
 }
 
 TEST(KSorted, StrictAdvanceDropsExhaustedMembers) {
@@ -73,7 +73,7 @@ TEST(KSorted, StrictAdvanceDropsExhaustedMembers) {
   sd.PopMinBucket(&handles);
   ASSERT_EQ(handles.size(), 1u);
   EXPECT_FALSE(sd.AdvanceAndReinsert(
-      handles[0], CkmsBound::Make(Seq("(a)(b)"), /*strict=*/true)));
+      handles[0], {KeyOf(list, Seq("(a)(b)")), /*strict=*/true}));
   EXPECT_EQ(sd.size(), 0u);
 }
 
@@ -91,7 +91,7 @@ TEST(KSorted, KeysMatchBruteForceMinima) {
   // 2-minimum must equal the bucket key it was filed under.
   std::vector<std::uint32_t> handles;
   while (sd.size() > 0) {
-    const Sequence key = sd.MinKey();
+    const Sequence key = sd.KeySequence(sd.MinKey());
     handles.clear();
     sd.PopMinBucket(&handles);
     ASSERT_FALSE(handles.empty());

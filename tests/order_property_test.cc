@@ -4,9 +4,12 @@
 // extension of F').
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "disc/common/rng.h"
+#include "disc/core/rank_key.h"
 #include "disc/order/compare.h"
-#include "disc/order/encoded.h"
 #include "test_util.h"
 
 namespace disc {
@@ -102,84 +105,103 @@ TEST_P(OrderProperty, ExtensionOrderMatchesSequenceOrder) {
   }
 }
 
+// A k-sequence is encoded as its rank key (core/rank_key.h): the index of
+// its (k-1)-prefix in an ascending list, plus its last item and extension
+// type. The two tests below check that comparing encodings is comparing
+// sequences.
+
 TEST_P(OrderProperty, EncodedCompareAgreesWithCompareSequences) {
-  // The encoded word streams (order/encoded.h) must induce exactly the
-  // comparative order: for every pair in a fuzzed pool sharing one
-  // ItemEncoder, EncodedCompare's sign equals CompareSequences's.
+  // Rank keys must induce exactly the comparative order: over a random
+  // ascending list of distinct (k-1)-sequences, comparing two keys gives
+  // the sign CompareSequences gives their extended sequences, and KeyOf
+  // inverts KeySequence.
   Rng rng(GetParam() + 3000);
-  std::vector<Sequence> pool;
-  for (int i = 0; i < 48; ++i) {
-    // A wide alphabet with few sequences AND a narrow alphabet with long
-    // sequences: the former exercises the dense remap, the latter long
-    // shared prefixes.
-    pool.push_back(i % 2 == 0 ? testutil::RandomSequence(&rng, 40, 4, 3)
-                              : testutil::RandomSequence(&rng, 3, 6, 2));
-  }
-  ItemEncoder encoder;
-  for (const Sequence& s : pool) encoder.NoteItems(s);
-  encoder.Finalize();
-  std::vector<std::vector<EncodedWord>> epool(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EncodeSequence(pool[i], encoder, &epool[i]);
-    ASSERT_EQ(epool[i].size(), pool[i].Length());
-  }
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      EXPECT_EQ(Sign(CompareSequences(pool[i], pool[j])),
-                Sign(EncodedCompare(epool[i], epool[j])))
-          << pool[i].ToString() << " vs " << pool[j].ToString();
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::uint32_t len =
+        1 + static_cast<std::uint32_t>(rng.NextBounded(3));
+    std::vector<Sequence> list;
+    for (int i = 0; i < 40; ++i) {
+      // A narrow alphabet with long sequences keeps shared prefixes long.
+      const Sequence s = testutil::RandomSequence(&rng, 4, 4, 3);
+      if (s.Length() >= len) list.push_back(s.Prefix(len));
+    }
+    std::sort(list.begin(), list.end(), SequenceLess());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    if (list.empty()) continue;
+    std::vector<RankKey> keys;
+    for (int i = 0; i < 40; ++i) {
+      RankKey key{static_cast<std::uint32_t>(rng.NextBounded(list.size())),
+                  static_cast<Item>(1 + rng.NextBounded(5)),
+                  rng.NextBounded(2) == 0 ? ExtType::kItemset
+                                          : ExtType::kSequence};
+      // An itemset extension must exceed the prefix's last item.
+      if (key.item <= list[key.prefix].LastItem()) {
+        key.type = ExtType::kSequence;
+      }
+      keys.push_back(key);
+    }
+    for (const RankKey& a : keys) {
+      const Sequence sa = KeySequence(list, a);
+      EXPECT_EQ(testutil::KeyOf(list, sa), a) << sa.ToString();
+      for (const RankKey& b : keys) {
+        const Sequence sb = KeySequence(list, b);
+        EXPECT_EQ(Sign(CompareRankKeys(a, b)), Sign(CompareSequences(sa, sb)))
+            << sa.ToString() << " vs " << sb.ToString();
+        EXPECT_EQ(CompareRankKeys(a, b) == 0, a == b);
+      }
     }
   }
 }
 
 TEST_P(OrderProperty, EncodedCompareIsAStrictTotalOrder) {
-  // Antisymmetry, equality-iff-structural-equality, and transitivity of
-  // EncodedCompare itself (spot checks mirroring TotalOrderAxioms), plus
-  // the EncodedCompareFrom contract: the reported LCP is the true common
-  // prefix, and restarting the comparison from any point at or below it
-  // reproduces the word-0 result.
+  // Antisymmetry, equality-iff-structural-equality and transitivity of
+  // CompareRankKeys itself (spot checks mirroring TotalOrderAxioms), over
+  // fuzzed k-sequences encoded by KeyOf against the ascending list of their
+  // distinct (k-1)-prefixes; and sorting the keys sorts the sequences, the
+  // order the locative AVL tree and the re-sort ablation keep.
   Rng rng(GetParam() + 4000);
-  std::vector<Sequence> pool;
-  for (int i = 0; i < 20; ++i) {
-    pool.push_back(testutil::RandomSequence(&rng, 4, 3, 2));
-  }
-  ItemEncoder encoder;
-  for (const Sequence& s : pool) encoder.NoteItems(s);
-  encoder.Finalize();
-  std::vector<std::vector<EncodedWord>> epool(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EncodeSequence(pool[i], encoder, &epool[i]);
-  }
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const auto& a = epool[i];
-    EXPECT_EQ(EncodedCompare(a, a), 0);
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      const auto& b = epool[j];
-      const int ab = EncodedCompare(a, b);
-      const int ba = EncodedCompare(b, a);
-      EXPECT_EQ(ab < 0, ba > 0);
-      EXPECT_EQ(ab == 0, ba == 0);
-      EXPECT_EQ(ab == 0, pool[i] == pool[j]);
-      std::uint32_t lcp = 0;
-      EXPECT_EQ(EncodedCompareFrom(a.data(), a.size(), b.data(), b.size(), 0,
-                                   &lcp),
-                ab);
-      std::uint32_t true_lcp = 0;
-      while (true_lcp < a.size() && true_lcp < b.size() &&
-             a[true_lcp] == b[true_lcp]) {
-        ++true_lcp;
-      }
-      EXPECT_EQ(lcp, true_lcp);
-      for (std::uint32_t from = 0; from <= lcp; ++from) {
-        EXPECT_EQ(EncodedCompareFrom(a.data(), a.size(), b.data(), b.size(),
-                                     from, nullptr),
-                  ab);
-      }
-      for (std::size_t k = 0; k < pool.size(); ++k) {
-        if (ab <= 0 && EncodedCompare(b, epool[k]) <= 0) {
-          EXPECT_LE(EncodedCompare(a, epool[k]), 0);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::uint32_t k =
+        2 + static_cast<std::uint32_t>(rng.NextBounded(3));
+    std::vector<Sequence> pool;
+    for (int i = 0; i < 60 && pool.size() < 20; ++i) {
+      const Sequence s = testutil::RandomSequence(&rng, 4, 3, 2);
+      if (s.Length() >= k) pool.push_back(s.Prefix(k));
+    }
+    std::vector<Sequence> list;
+    for (const Sequence& s : pool) list.push_back(s.Prefix(k - 1));
+    std::sort(list.begin(), list.end(), SequenceLess());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    std::vector<RankKey> keys;
+    for (const Sequence& s : pool) keys.push_back(testutil::KeyOf(list, s));
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const RankKey& a = keys[i];
+      EXPECT_EQ(CompareRankKeys(a, a), 0);
+      for (std::size_t j = 0; j < pool.size(); ++j) {
+        const RankKey& b = keys[j];
+        const int ab = CompareRankKeys(a, b);
+        const int ba = CompareRankKeys(b, a);
+        EXPECT_EQ(ab < 0, ba > 0);
+        EXPECT_EQ(ab == 0, ba == 0);
+        EXPECT_EQ(ab == 0, pool[i] == pool[j])
+            << pool[i].ToString() << " vs " << pool[j].ToString();
+        for (const RankKey& c : keys) {
+          if (ab <= 0 && CompareRankKeys(b, c) <= 0) {
+            EXPECT_LE(CompareRankKeys(a, c), 0);
+          }
         }
       }
+    }
+    std::vector<std::size_t> order(pool.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&keys](std::size_t x, std::size_t y) {
+                return CompareRankKeys(keys[x], keys[y]) < 0;
+              });
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      EXPECT_LE(CompareSequences(pool[order[i - 1]], pool[order[i]]), 0)
+          << pool[order[i - 1]].ToString() << " after sorting before "
+          << pool[order[i]].ToString();
     }
   }
 }

@@ -19,6 +19,7 @@
 namespace disc {
 namespace {
 
+using testutil::KeyOf;
 using testutil::Seq;
 
 // ---- §1.1: the SPADE ID-list walk-through on Table 1.
@@ -199,8 +200,9 @@ TEST(PaperExamples, Example33AprioriKms) {
   for (Cid cid = 0; cid < 6; ++cid) {
     const KmsResult r = AprioriKms(part[cid], list);
     ASSERT_TRUE(r.found) << "CID " << cid;
-    EXPECT_EQ(r.kmin.ToString(), expected[cid].kmin) << "CID " << cid;
-    EXPECT_EQ(r.prefix_index, expected[cid].pointer) << "CID " << cid;
+    EXPECT_EQ(KeySequence(list, r.key).ToString(), expected[cid].kmin)
+        << "CID " << cid;
+    EXPECT_EQ(r.key.prefix, expected[cid].pointer) << "CID " << cid;
   }
 }
 
@@ -210,10 +212,10 @@ TEST(PaperExamples, Example34AprioriCkms) {
   // 4-minimum subsequence is <(a)(a,e,g)> itself (Table 10).
   const SequenceDatabase part = testutil::Table8Partition();
   const std::vector<Sequence> list = Table8SortedList();
-  const KmsResult r = AprioriCkms(part[2], list, /*start_index=*/0,
-                                  Seq("(a)(a,e,g)"), /*strict=*/false);
+  const KmsResult r = AprioriCkms(
+      part[2], list, {KeyOf(list, Seq("(a)(a,e,g)")), /*strict=*/false});
   ASSERT_TRUE(r.found);
-  EXPECT_EQ(r.kmin.ToString(), "(a)(a,e,g)");
+  EXPECT_EQ(KeySequence(list, r.key).ToString(), "(a)(a,e,g)");
 }
 
 TEST(PaperExamples, Example35DiscoveryWithBilevel) {

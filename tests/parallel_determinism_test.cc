@@ -72,43 +72,6 @@ TEST(ParallelDeterminism, ArenaScratchByteIdenticalToOwnedScratch) {
   }
 }
 
-TEST(ParallelDeterminism, EncodedOrderByteIdenticalToLegacyAcrossThreads) {
-  // The encoded comparative-order kernels (order/encoded.h) and the legacy
-  // itemset-by-itemset scans must mine byte-identical PatternSets for
-  // every (encoded, threads) combination, for both partition-scheduled
-  // DISC miners.
-  const SequenceDatabase db = QuestDb();
-  MineOptions options;
-  options.min_support_count = MineOptions::CountForFraction(db.size(), 0.05);
-  options.threads = 1;
-  DiscAll::Config legacy_cfg;
-  legacy_cfg.encoded_order = false;
-  const std::string baseline =
-      DiscAll(legacy_cfg).Mine(db, options).ToString();
-  DynamicDiscAll::Config dyn_legacy_cfg;
-  dyn_legacy_cfg.encoded_order = false;
-  const std::string dyn_baseline =
-      DynamicDiscAll(dyn_legacy_cfg).Mine(db, options).ToString();
-  EXPECT_EQ(baseline, dyn_baseline);
-  for (const bool encoded : {false, true}) {
-    for (const std::uint32_t threads : kThreadCounts) {
-      options.threads = threads;
-      const std::string label = std::string("encoded=") +
-                                (encoded ? "on" : "off") +
-                                " threads=" + std::to_string(threads);
-      DiscAll::Config cfg;
-      cfg.encoded_order = encoded;
-      EXPECT_EQ(DiscAll(cfg).Mine(db, options).ToString(), baseline)
-          << "disc-all " << label;
-      DynamicDiscAll::Config dyn_cfg;
-      dyn_cfg.encoded_order = encoded;
-      EXPECT_EQ(DynamicDiscAll(dyn_cfg).Mine(db, options).ToString(),
-                baseline)
-          << "dynamic-disc-all " << label;
-    }
-  }
-}
-
 TEST(ParallelDeterminism, HardwareThreadsMatchSerial) {
   // threads = 0 resolves to the hardware concurrency, whatever it is here.
   const SequenceDatabase db = testutil::RandomDatabase(3);

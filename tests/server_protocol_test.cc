@@ -115,7 +115,11 @@ TEST(ParseCommandTest, StrictNumbersNeverTruncate) {
 class ServerSessionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_path_ = ::testing::TempDir() + "server_protocol_test.spmf";
+    // One file per test: ctest runs the cases of this fixture in parallel,
+    // and a shared path lets one case's TearDown delete another's input.
+    db_path_ = ::testing::TempDir() + "server_protocol_test_" +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+               ".spmf";
     const SequenceDatabase db = testutil::MakeQuestDb(
         {.ncust = 120, .nitems = 50, .slen = 5, .tlen = 2.0});
     ASSERT_TRUE(SaveSpmf(db, db_path_));

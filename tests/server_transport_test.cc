@@ -237,6 +237,12 @@ TEST_F(SocketTransportTest, DrainDeliversBytePrefixPartialThenExitsZero) {
   ASSERT_TRUE(client.ReadMineResponse(&full_header, &full));
   ASSERT_NE(full_header.find("status=complete"), std::string::npos);
   ASSERT_FALSE(full.empty());
+  // The server releases the admission slot just after writing `end`; without
+  // this wait the in-flight check below can see the reference run's slot and
+  // drain before the second mine is even read.
+  ASSERT_TRUE(WaitUntil([&] {
+    return transport_->admission().snapshot().active == 0;
+  }));
 
   // Same query pinned in flight, then drain (what SIGTERM triggers via
   // InstallDrainSignalHandlers). The client must still receive its

@@ -3,10 +3,13 @@
 #ifndef DISC_TESTS_TEST_UTIL_H_
 #define DISC_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "disc/common/check.h"
 #include "disc/common/rng.h"
+#include "disc/core/rank_key.h"
 #include "disc/gen/quest.h"
 #include "disc/seq/database.h"
 #include "disc/seq/parse.h"
@@ -144,6 +147,24 @@ inline SequenceDatabase Table8Partition() {
 }
 
 inline Sequence Seq(const std::string& text) { return ParseSequence(text); }
+
+/// The rank key of a non-empty sequence whose (k-1)-prefix is in
+/// `sorted_list` (asserted) — the inverse of KeySequence.
+inline RankKey KeyOf(const std::vector<Sequence>& sorted_list,
+                     const Sequence& seq) {
+  const Sequence prefix = seq.Prefix(seq.Length() - 1);
+  const auto it = std::lower_bound(sorted_list.begin(), sorted_list.end(),
+                                   prefix, SequenceLess());
+  DISC_CHECK_MSG(it != sorted_list.end() && *it == prefix,
+                 "key prefix is not in the sorted list");
+  // The last item shares its transaction with the previous item exactly
+  // when it was an itemset extension.
+  const ExtType type = seq.TxnSize(seq.NumTransactions() - 1) >= 2
+                           ? ExtType::kItemset
+                           : ExtType::kSequence;
+  return RankKey{static_cast<std::uint32_t>(it - sorted_list.begin()),
+                 seq.LastItem(), type};
+}
 
 }  // namespace testutil
 }  // namespace disc

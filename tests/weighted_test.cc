@@ -14,6 +14,7 @@
 namespace disc {
 namespace {
 
+using testutil::KeyOf;
 using testutil::Seq;
 
 TEST(Weighted, HandExample) {
@@ -128,15 +129,16 @@ TEST(WeightedDeathTest, InvalidOptionsAbort) {
 }
 
 TEST(LocativeAvlWeighted, SelectByWeight) {
+  const std::vector<Sequence> list = {Sequence()};
   LocativeAvlTree tree;
-  tree.Insert(Seq("(a)"), 0, 2.0);
-  tree.Insert(Seq("(b)"), 1, 0.5);
-  tree.Insert(Seq("(c)"), 2, 3.0);
+  tree.Insert(KeyOf(list, Seq("(a)")), 0, 2.0);
+  tree.Insert(KeyOf(list, Seq("(b)")), 1, 0.5);
+  tree.Insert(KeyOf(list, Seq("(c)")), 2, 3.0);
   EXPECT_DOUBLE_EQ(tree.TotalWeight(), 5.5);
-  EXPECT_EQ(tree.SelectKeyByWeight(0.1).ToString(), "(a)");
-  EXPECT_EQ(tree.SelectKeyByWeight(2.0).ToString(), "(a)");
-  EXPECT_EQ(tree.SelectKeyByWeight(2.2).ToString(), "(b)");
-  EXPECT_EQ(tree.SelectKeyByWeight(5.5).ToString(), "(c)");
+  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(0.1)).ToString(), "(a)");
+  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(2.0)).ToString(), "(a)");
+  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(2.2)).ToString(), "(b)");
+  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(5.5)).ToString(), "(c)");
   EXPECT_TRUE(tree.CheckInvariants());
   std::vector<std::uint32_t> handles;
   tree.PopMinBucket(&handles);

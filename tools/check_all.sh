@@ -5,12 +5,10 @@
 # under injected faults), the live-telemetry CLI smoke (progress ticker,
 # event log, exposition), the seqmined line-protocol + socket smoke
 # (cache hits, byte-identical repeats, stop/cancel/drain byte-prefix,
-# load shedding, net.* chaos loop), the SIMD determinism
-# gate (identical patterns at every mismatch-scan tier, under ASan), the
-# storage CLI smoke (.dsa pack/shard round trips, corruption exit codes,
-# pack atomicity — under ASan), then the benchmark regression gate for the
-# encoded-order kernels and the .dsa load path. Each check uses its own
-# build directory, so repeat runs are incremental.
+# load shedding, net.* chaos loop), the storage CLI smoke (.dsa pack/shard
+# round trips, corruption exit codes, pack atomicity — under ASan), then
+# the benchmark regression gate for the .dsa load path. Each check uses its
+# own build directory, so repeat runs are incremental.
 #
 #   $ tools/check_all.sh
 set -euo pipefail
@@ -22,7 +20,6 @@ cd "$(dirname "$0")"
 ./check_failpoints.sh ../build-asan/examples/seqmine
 ./check_obs.sh ../build-asan/examples/seqmine
 ./check_server.sh ../build-asan/examples/seqmined ../build-asan/examples/seqmine
-./check_simd.sh ../build-asan/examples/seqmine
 ./check_storage.sh ../build-asan/examples/seqmine ../build-asan/examples/seqmined
 ./check_perf.sh
 

@@ -4,8 +4,8 @@
 # runs the tests most likely to catch lifetime bugs in the flat-arena
 # database and the non-owning SequenceView read paths (dangling views after
 # arena growth, off-by-one offset arithmetic, scratch reuse after Clear),
-# plus the encoded-order kernels (borrowed ItemEncoder/EncodedList
-# pointers, flat word-buffer offset arithmetic, scan-state reuse).
+# plus the k-sorted database (index arithmetic in the locative AVL tree's
+# node pool and bucket links, scan-state reuse across CKMS advances).
 #
 #   $ tools/check_asan.sh [build-dir]      # default build-asan
 set -euo pipefail
@@ -17,8 +17,8 @@ cmake -B "$BUILD_DIR" -S . -DDISC_SANITIZE=address,undefined >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   view_arena_test parse_io_test sequence_test index_test \
   disc_all_test parallel_determinism_test status_test failpoint_test \
-  encoded_order_test order_property_test ksorted_test \
-  simd_test candidate_bound_test \
+  order_property_test locative_avl_test kms_test ksorted_test \
+  candidate_bound_test \
   storage_format_test shard_merge_test \
   engine_test server_protocol_test admission_test server_transport_test \
   bench_parallel seqmine seqmined
@@ -33,13 +33,15 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/parallel_determinism_test"
 "$BUILD_DIR/tests/status_test"
 "$BUILD_DIR/tests/failpoint_test"
-"$BUILD_DIR/tests/encoded_order_test"
 "$BUILD_DIR/tests/order_property_test"
+# The AVL tree's nodes live in a growing vector addressed by index: a node
+# reference held across pool growth is a use-after-free ASan reports, and a
+# stale index reads a recycled node, which the randomized reference test
+# and the KMS/CKMS oracles catch.
+"$BUILD_DIR/tests/locative_avl_test"
+"$BUILD_DIR/tests/kms_test"
 "$BUILD_DIR/tests/ksorted_test"
-# The SIMD fuzz test's every-alignment sub-slices are exactly where an
-# over-reading vector load would trip ASan's container annotations; the
-# bound test pins skip-path byte-identity under sanitizers too.
-"$BUILD_DIR/tests/simd_test"
+# The bound test pins skip-path byte-identity under sanitizers too.
 "$BUILD_DIR/tests/candidate_bound_test"
 # The .dsa hostile-input battery reads attacker-controlled bytes through
 # the mmap adoption path — every fuzzed flip must fail cleanly, not read

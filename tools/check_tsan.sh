@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer smoke check for the parallel mining engine: builds the
 # suite with -fsanitize=thread (DISC_SANITIZE=thread) and runs the
-# concurrency-sensitive tests (thread pool, parallel determinism — which
-# covers the encoded-order kernels across thread counts — and the obs
-# layer). Any data race fails the run.
+# concurrency-sensitive tests (thread pool, parallel determinism, and the
+# obs layer). Any data race fails the run.
 #
 #   $ tools/check_tsan.sh [build-dir]      # default build-tsan
 set -euo pipefail
