@@ -11,7 +11,6 @@
 //               [--trace-out=trace.json] [--json-out=report.json]
 //               [--progress] [--progress-period-ms=N]
 //               [--metrics-out=m.prom] [--events-out=e.jsonl]
-//   $ ./seqmine --serve [input.spmf] [--permissive] [--serve-threads=N]
 //   $ ./seqmine --connect=ADDR [input.spmf] [--minsup=F | --delta=N] ...
 //   $ ./seqmine input.spmf --pack=out.dsa [--shards=N]
 //   $ ./seqmine --mine-shards=BASE --shards=N [mine options]
@@ -34,11 +33,6 @@
 // sites (same syntax as the DISC_FAILPOINTS environment variable; see
 // docs/ROBUSTNESS.md).
 //
-// --serve enters the seqmined line protocol on stdin/stdout (docs/
-// SERVER.md) — identical to running the seqmined binary — optionally
-// preloading a database first; --serve-threads sizes the engine's session
-// pool (concurrent queries, not per-mine parallelism).
-//
 // --connect=ADDR ("unix:<path>" or "<host>:<port>") runs one query
 // against a socket-mode seqmined (docs/SERVER.md, "Transport &
 // admission"): connect (retrying with capped exponential backoff,
@@ -57,7 +51,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <thread>
 
 #include "disc/disc.h"
@@ -82,8 +75,6 @@ int Usage() {
       "               [--stats] [--trace-out=FILE] [--json-out=FILE]\n"
       "               [--progress] [--progress-period-ms=N]\n"
       "               [--metrics-out=FILE] [--events-out=FILE]\n"
-      "       seqmine --serve [input.spmf] [--permissive]\n"
-      "               [--serve-threads=N]\n"
       "       seqmine --connect=ADDR [input.spmf] [--permissive]\n"
       "               [mine options] [--retries=N] [--retry-base-ms=MS]\n"
       "               [--retry-max-ms=MS]  (ADDR: unix:<path> | "
@@ -96,33 +87,6 @@ int Usage() {
   }
   std::fprintf(stderr, "\n");
   return kExitUsage;
-}
-
-// The seqmined line protocol on stdin/stdout (--serve).
-int Serve(const disc::Flags& flags) {
-  if (flags.positional().size() > 1) return Usage();
-  const long long serve_threads = flags.GetInt("serve-threads", 2);
-  if (serve_threads < 0) {
-    std::fprintf(stderr, "seqmine: --serve-threads must be >= 0\n");
-    return kExitUsage;
-  }
-  disc::engine::Engine::Config config;
-  config.session_threads = static_cast<std::uint32_t>(serve_threads);
-  disc::engine::Engine engine(config);
-  if (!flags.positional().empty()) {
-    auto info = engine.LoadPath(flags.positional()[0],
-                                flags.GetBool("permissive", false)
-                                    ? disc::ParseOptions::Permissive()
-                                    : disc::ParseOptions::Strict());
-    if (!info.ok()) {
-      std::fprintf(stderr, "seqmine: %s\n", info.status().message().c_str());
-      return kExitDataError;
-    }
-    std::fprintf(stderr, "seqmine: preloaded %zu sequences from %s\n",
-                 info->sequences, flags.positional()[0].c_str());
-  }
-  disc::server::Server server(&engine, std::cin, std::cout);
-  return server.Run();
 }
 
 // One query against a socket-mode seqmined (--connect). Exit codes follow
@@ -403,11 +367,10 @@ int main(int argc, char** argv) {
     Usage();
     return kExitOk;  // asked-for usage is a success, not a usage error
   }
-  const bool serve = flags.GetBool("serve", false);
   const bool connect = flags.Has("connect");
   const bool pack = flags.Has("pack");
   const bool mine_shards = flags.Has("mine-shards");
-  if (flags.positional().empty() && !serve && !connect && !mine_shards) {
+  if (flags.positional().empty() && !connect && !mine_shards) {
     return Usage();
   }
 
@@ -421,7 +384,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (serve) return Serve(flags);
   if (connect) return Connect(flags);
   if (pack) return Pack(flags);
   if (mine_shards) return MineShards(flags);

@@ -46,8 +46,7 @@
 // run concurrently, independent of each query's own --threads.
 // --cache-slots sizes the first-level LRU (how many databases stay warm).
 //
-// `seqmine --serve` is the same stdin server inside the one-shot CLI
-// binary; `seqmine --connect` is the matching socket client.
+// `seqmine --connect` is the matching socket client.
 //
 // Exit codes (docs/ROBUSTNESS.md): 0 the session reached quit/EOF — or,
 // in socket mode, a clean drain (command failures are reported in-band as

@@ -1,5 +1,5 @@
-// Dependency-free fixed-size thread pool backing the partition-scheduled
-// parallel miners (DISC-all, Dynamic DISC-all) and the bench drivers.
+// Dependency-free fixed-size thread pool backing the partition scheduler
+// of the DISC miners (core/scheduler.h) and the bench drivers.
 //
 // Design: one shared FIFO queue under a mutex + condvar. Tasks receive the
 // executing worker's index (0 .. threads()-1) so callers can hand each

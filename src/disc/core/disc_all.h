@@ -15,9 +15,10 @@
 //
 // The first-level ⟨λ⟩-partition is exactly the customer sequences
 // containing λ, so the partitions are statically determined and
-// independently minable: with MineOptions::threads > 1 they are fanned out
-// largest-first to a thread pool (per-worker scratch state, see
-// docs/PARALLELISM.md) and the per-partition results merged in ascending-λ
+// independently minable: the partition scheduler (core/scheduler.h) mines
+// them in ascending order on the calling thread, or largest-first on a
+// thread pool when MineOptions::threads > 1 (per-worker scratch state, see
+// docs/PARALLELISM.md), and the per-partition results merge in ascending-λ
 // order, producing a PatternSet identical to the serial run.
 #ifndef DISC_CORE_DISC_ALL_H_
 #define DISC_CORE_DISC_ALL_H_
@@ -41,31 +42,13 @@ class DiscAll : public Miner, public FirstLevelConsumer {
     /// Index the k-sorted databases with the locative AVL tree; false
     /// falls back to full re-sorting per DISC iteration (ablation).
     bool use_avl = true;
-    /// Append reduced customer sequences into the per-worker scratch
-    /// SequenceArena (reused across partitions; zero allocation once warm).
-    /// False falls back to one owning Sequence per reduced customer per
-    /// partition — the pre-arena behavior, kept as an ablation/baseline for
-    /// the bench_micro --alloc-compare mode. Output is byte-identical
-    /// either way.
-    bool arena_scratch = true;
-    /// Skip a partition's remaining machinery (reduce, second-level
-    /// partitioning, DISC loop) when the Geerts-style candidate upper
-    /// bound over its frequent extensions proves no deeper frequent
-    /// sequence can exist (core/candidate_bound.h). Counted by
-    /// "disc.bound.skips"; output is byte-identical either way
-    /// (tests/candidate_bound_test.cc). False keeps the unpruned path as
-    /// an ablation (bench_kernels' kernel.bound pair measures the gap).
-    bool bound_pruning = true;
   };
 
   DiscAll() : DiscAll(Config{}) {}
   explicit DiscAll(const Config& config) : config_(config) {}
 
   std::string name() const override {
-    std::string n = config_.bilevel ? "disc-all" : "disc-all-nobilevel";
-    if (!config_.arena_scratch) n += "-ownedscratch";
-    if (!config_.bound_pruning) n += "-nobound";
-    return n;
+    return config_.bilevel ? "disc-all" : "disc-all-nobilevel";
   }
 
   /// Accepts precomputed first-level state (core/first_level.h): steps 1

@@ -14,10 +14,11 @@
 //
 // A root child ⟨(x)⟩-partition is exactly the customer sequences containing
 // the frequent item x, so the first-level children are statically determined
-// and independently minable: with MineOptions::threads > 1 they are fanned
-// out largest-first to a thread pool (see docs/PARALLELISM.md) and the
-// per-child results merged in comparative order, producing a PatternSet
-// identical to the serial recursion.
+// and independently minable: at every thread count the partition scheduler
+// (core/scheduler.h) mines them — in ascending order on the calling thread,
+// or largest-first on a thread pool when MineOptions::threads > 1 (see
+// docs/PARALLELISM.md) — and the per-child results merge in comparative
+// order, producing a PatternSet identical to the serial recursion.
 #ifndef DISC_CORE_DYNAMIC_DISC_ALL_H_
 #define DISC_CORE_DYNAMIC_DISC_ALL_H_
 
@@ -46,11 +47,6 @@ class DynamicDiscAll : public Miner, public FirstLevelConsumer {
     /// DISC from length 2, 2 = DISC-all's two-level scheme, large = pure
     /// pattern growth).
     std::int32_t fixed_levels = -1;
-    /// Stop recursing into a partition when the Geerts-style candidate
-    /// upper bound over its frequent extensions is zero — no deeper
-    /// frequent sequence can exist (core/candidate_bound.h). Counted by
-    /// "disc.bound.skips"; output is byte-identical either way.
-    bool bound_pruning = true;
   };
 
   DynamicDiscAll() : DynamicDiscAll(Config{}) {}
@@ -61,11 +57,10 @@ class DynamicDiscAll : public Miner, public FirstLevelConsumer {
   /// Accepts precomputed first-level state (core/first_level.h): the root
   /// level of the next DoMine() reuses the cached item supports (the
   /// frequent 1-sequences and the root NRR arithmetic need nothing else)
-  /// and, on the parallel path, builds the static root children straight
-  /// from the cached partition memberships. Deeper levels are
-  /// prefix-dependent and always scan. The state must match the mined
-  /// database (DISC_CHECK). Output is byte-identical either way; counted
-  /// by "disc.first_level.reuses".
+  /// and takes the static root children straight from the cached partition
+  /// memberships. Deeper levels are prefix-dependent and always scan. The
+  /// state must match the mined database (DISC_CHECK). Output is
+  /// byte-identical either way; counted by "disc.first_level.reuses".
   void ProvideFirstLevel(
       std::shared_ptr<const FirstLevelState> state) override {
     first_level_ = std::move(state);

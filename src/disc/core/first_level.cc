@@ -11,6 +11,25 @@ DISC_OBS_COUNTER(g_first_level_builds, "disc.first_level.builds");
 
 }  // namespace
 
+std::vector<std::uint32_t> CountItemSupport(const SequenceDatabase& db) {
+  std::vector<std::uint32_t> support(db.max_item() + 1, 0);
+  ForEachDistinctItem(db, [&support](Cid, Item x) { ++support[x]; });
+  return support;
+}
+
+std::vector<std::vector<Cid>> CollectPartitionMembers(
+    const SequenceDatabase& db, const std::vector<std::uint32_t>& support,
+    std::uint32_t min_support) {
+  std::vector<std::vector<Cid>> members_of(db.max_item() + 1);
+  for (Item x = 1; x <= db.max_item(); ++x) {
+    if (support[x] >= min_support) members_of[x].reserve(support[x]);
+  }
+  ForEachDistinctItem(db, [&](Cid cid, Item x) {
+    if (support[x] >= min_support) members_of[x].push_back(cid);
+  });
+  return members_of;
+}
+
 std::uint64_t FirstLevelState::ContentHash(const SequenceDatabase& db) {
   // The .dsa loader verified this exact hash against the file and cached
   // it on the database (seq/storage.cc), so mapped databases never rescan.
@@ -66,40 +85,14 @@ std::shared_ptr<const FirstLevelState> BuildFirstLevelState(
   state->db_content_hash = FirstLevelState::ContentHash(db);
   const Item max_item = state->max_item;
 
-  // Scan 1: distinct-per-customer support of every item (same stamp trick
-  // as DiscAll step 1, but without a threshold).
-  state->item_support.assign(max_item + 1, 0);
-  std::vector<std::uint64_t> seen(max_item + 1, 0);
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != cid + 1u) {
-        seen[x] = cid + 1u;
-        ++state->item_support[x];
-      }
-    }
-  }
-
-  // Scan 2: materialize every ⟨x⟩-partition (ascending CIDs by
-  // construction), stamps offset past scan 1's.
-  state->members_of.resize(max_item + 1);
-  for (Item x = 1; x <= max_item; ++x) {
-    state->members_of[x].reserve(state->item_support[x]);
-  }
-  const std::uint64_t stamp_base = db.size();
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != stamp_base + cid + 1u) {
-        seen[x] = stamp_base + cid + 1u;
-        state->members_of[x].push_back(cid);
-      }
-    }
-  }
+  state->item_support = CountItemSupport(db);
+  state->members_of = CollectPartitionMembers(db, state->item_support, 0);
 
   // Partition-major alphabet sweep: the ⟨x⟩-partition's alphabet is the
   // distinct items over its members. One reused stamp vector, one stamp
   // per partition.
   state->alphabet_of.resize(max_item + 1);
-  std::fill(seen.begin(), seen.end(), 0);
+  std::vector<std::uint64_t> seen(max_item + 1, 0);
   std::uint64_t stamp = 0;
   for (Item x = 1; x <= max_item; ++x) {
     if (state->members_of[x].empty()) continue;

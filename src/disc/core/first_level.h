@@ -88,6 +88,33 @@ struct FirstLevelState {
   std::size_t SizeBytes() const;
 };
 
+/// Calls fn(cid, x) once per distinct item x of each sequence of `db`, in
+/// ascending cid order: a per-item stamp of the last cid that reported it
+/// skips repeats. The one scan behind every per-item support below.
+template <typename Fn>
+void ForEachDistinctItem(const SequenceDatabase& db, Fn&& fn) {
+  std::vector<Cid> seen(db.max_item() + 1, 0);
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    for (const Item x : db[cid].items()) {
+      if (seen[x] != cid + 1) {
+        seen[x] = cid + 1;
+        fn(cid, x);
+      }
+    }
+  }
+}
+
+/// Distinct-per-customer support of every item: support[x] = the number of
+/// sequences of `db` containing x, for x in [0, db.max_item()]. One scan.
+std::vector<std::uint32_t> CountItemSupport(const SequenceDatabase& db);
+
+/// The first-level ⟨x⟩-partitions: members_of[x] = the CIDs of the sequences
+/// containing x, ascending, for every x with support[x] >= min_support
+/// (`support` from CountItemSupport; the other lists stay empty). One scan.
+std::vector<std::vector<Cid>> CollectPartitionMembers(
+    const SequenceDatabase& db, const std::vector<std::uint32_t>& support,
+    std::uint32_t min_support);
+
 /// Builds the state in two database scans plus one partition-major alphabet
 /// sweep (cost: sum over items x of the total length of the ⟨x⟩-partition's
 /// sequences — the same order as one reduce pass of a full mine). Bumps the

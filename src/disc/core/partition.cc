@@ -1,6 +1,9 @@
 #include "disc/core/partition.h"
 
+#include <stdexcept>
+
 #include "disc/common/check.h"
+#include "disc/common/failpoint.h"
 #include "disc/core/discovery.h"
 #include "disc/obs/metrics.h"
 #include "disc/seq/containment.h"
@@ -163,8 +166,13 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
 void RunDiscLoop(const PartitionMembers& members,
                  std::vector<Sequence> sorted_list, std::uint32_t start_k,
                  std::uint32_t delta, bool bilevel, Item max_item,
-                 std::uint32_t max_length, PatternSet* out,
-                 std::uint64_t* iterations, bool use_avl) {
+                 std::uint32_t max_length, PatternSet* out, bool use_avl) {
+  // Fault-injection hook covering the DISC k-loop, which both miners reach
+  // (DISC-all per second-level partition, Dynamic DISC-all wherever it
+  // stops partitioning).
+  if (DISC_FAILPOINT("disc.loop") == failpoint::Action::kError) {
+    throw std::runtime_error("failpoint disc.loop");
+  }
   std::uint32_t k = start_k;
   while (!sorted_list.empty() && members.size() >= delta &&
          (max_length == 0 || k <= max_length)) {
@@ -175,7 +183,6 @@ void RunDiscLoop(const PartitionMembers& members,
     opt.max_item = max_item;
     opt.use_avl = use_avl;
     const DiscoveryResult res = DiscoverFrequentK(members, sorted_list, opt);
-    if (iterations != nullptr) *iterations += res.iterations;
     for (const auto& [p, sup] : res.frequent_k) out->Add(p, sup);
     for (const auto& [p, sup] : res.frequent_k1) out->Add(p, sup);
     sorted_list.clear();

@@ -6,11 +6,13 @@
 #ifndef DISC_CORE_PARTITION_H_
 #define DISC_CORE_PARTITION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "disc/algo/pattern_set.h"
+#include "disc/common/check.h"
 #include "disc/core/counting_array.h"
 #include "disc/core/member.h"
 #include "disc/order/compare.h"
@@ -38,6 +40,19 @@ class ExtFilter {
  private:
   std::vector<bool> i_ok_, s_ok_;
 };
+
+/// Position of `e` in `exts`, which must hold it and be sorted in the
+/// extension order (as FrequentExtensions returns them): the slot of e's
+/// child partition in a table indexed like `exts`.
+inline std::size_t ExtIndex(const std::vector<std::pair<Item, ExtType>>& exts,
+                            const std::pair<Item, ExtType>& e) {
+  const auto it = std::lower_bound(
+      exts.begin(), exts.end(), e, [](const auto& a, const auto& b) {
+        return CompareExtensions(a.first, a.second, b.first, b.second) < 0;
+      });
+  DISC_DCHECK(it != exts.end() && *it == e);
+  return static_cast<std::size_t>(it - exts.begin());
+}
 
 /// The minimum *frequent* extension of a prefix present in the extension
 /// sets, optionally restricted to extensions strictly greater than `floor`.
@@ -81,13 +96,12 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
 /// bilevel), ... until no frequent (k-1)-sequences remain or fewer than
 /// delta members survive, adding every frequent sequence to `out`.
 /// `sorted_list` holds the frequent (start_k - 1)-sequences of the
-/// partition. If `iterations` is non-null it accumulates DISC loop
-/// iterations (instrumentation).
+/// partition. "disc.iterations" counts the loop's iterations.
 void RunDiscLoop(const PartitionMembers& members,
                  std::vector<Sequence> sorted_list, std::uint32_t start_k,
                  std::uint32_t delta, bool bilevel, Item max_item,
                  std::uint32_t max_length, PatternSet* out,
-                 std::uint64_t* iterations, bool use_avl = true);
+                 bool use_avl = true);
 
 }  // namespace disc
 

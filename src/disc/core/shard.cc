@@ -10,23 +10,6 @@
 namespace disc {
 namespace {
 
-// Distinct-per-customer support of every item (the stamp trick of
-// BuildFirstLevelState scan 1, without the rest of the state — planning
-// must stay cheap next to the pack itself).
-std::vector<std::uint32_t> CountItemSupport(const SequenceDatabase& db) {
-  std::vector<std::uint32_t> support(db.max_item() + 1, 0);
-  std::vector<std::uint64_t> seen(db.max_item() + 1, 0);
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != cid + 1u) {
-        seen[x] = cid + 1u;
-        ++support[x];
-      }
-    }
-  }
-  return support;
-}
-
 void MergeInto(PatternSet* merged, const PatternSet& part) {
   for (const auto& [pattern, sup] : part) {
     merged->Add(pattern, sup);

@@ -3,6 +3,7 @@
 #include <deque>
 
 #include "disc/common/check.h"
+#include "disc/core/first_level.h"
 #include "disc/core/kms.h"
 #include "disc/core/locative_avl.h"
 #include "disc/seq/containment.h"
@@ -94,15 +95,9 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
   // Weighted-frequent 1-sequences: one scan accumulating distinct items'
   // weights.
   std::vector<double> item_weight(db.max_item() + 1, 0.0);
-  std::vector<std::uint64_t> seen(db.max_item() + 1, 0);
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != cid + 1u) {
-        seen[x] = cid + 1u;
-        item_weight[x] += options.weights[cid];
-      }
-    }
-  }
+  ForEachDistinctItem(db, [&](Cid cid, Item x) {
+    item_weight[x] += options.weights[cid];
+  });
   std::vector<Sequence> list;
   for (Item x = 1; x <= db.max_item(); ++x) {
     if (item_weight[x] >= options.min_weight) {

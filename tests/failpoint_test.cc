@@ -204,22 +204,70 @@ TEST(Failpoint, PoolTaskThrowBecomesInternalStatus) {
   EXPECT_GT(clean.patterns.size(), 0u);
 }
 
+// Asserts the contained failure's status and that its partial result is a
+// byte-prefix of the full one (docs/ROBUSTNESS.md).
+void ExpectContainedPrefix(const MineResult& result, const std::string& full,
+                           const std::string& site, const std::string& label) {
+  EXPECT_EQ(result.status.code(), StatusCode::kInternal) << label;
+  EXPECT_EQ(result.status.message(),
+            "partition mining failed: failpoint " + site)
+      << label;
+  const std::string partial = result.patterns.ToString();
+  ASSERT_LE(partial.size(), full.size()) << label;
+  EXPECT_EQ(full.compare(0, partial.size(), partial), 0) << label;
+}
+
 TEST(Failpoint, DiscReduceThrowIsContained) {
   FailpointGuard guard;
+  // ⟨a⟩-partition has no frequent 2-sequence, so it completes before the
+  // ⟨b⟩-partition reaches the reducer: the serial partial is <(a)>.
   const SequenceDatabase db = MakeDatabase({
-      "(a)(b)(c)",
-      "(a)(b)",
-      "(b)(c)",
-      "(a)(c)",
+      "(b)(c)(a)",
+      "(c)(a)",
+      "(b)(c)(d)",
+      "(b)(c)(d)",
+      "(b)(d)",
   });
   MineOptions options;
   options.min_support_count = 2;
+  const std::string full =
+      CreateMiner("disc-all")->Mine(db, options).ToString();
   ASSERT_TRUE(failpoint::Configure("disc.reduce=throw").ok());
-  MineResult serial = CreateMiner("disc-all")->TryMine(db, options);
-  EXPECT_EQ(serial.status.code(), StatusCode::kInternal);
-  options.threads = 2;
-  MineResult parallel = CreateMiner("disc-all")->TryMine(db, options);
-  EXPECT_EQ(parallel.status.code(), StatusCode::kInternal);
+  for (const std::uint32_t threads : {1u, 2u}) {
+    options.threads = threads;
+    const MineResult result = CreateMiner("disc-all")->TryMine(db, options);
+    ExpectContainedPrefix(result, full, "disc.reduce",
+                          "threads=" + std::to_string(threads));
+    if (threads == 1) {
+      EXPECT_EQ(result.patterns.size(), 1u);
+    }
+  }
+}
+
+TEST(Failpoint, DiscLoopThrowIsContainedInBothMiners) {
+  FailpointGuard guard;
+  const SequenceDatabase db = MakeDatabase({
+      "(a)(b)(c)(d)",
+      "(a)(b)(c)(d)",
+      "(a)(c)(b)(d)",
+      "(b)(c)(d)(e)",
+      "(b)(c)(d)(e)",
+  });
+  MineOptions options;
+  options.min_support_count = 2;
+  for (const char* algo : {"disc-all", "dynamic-disc-all"}) {
+    options.threads = 1;
+    const std::string full = CreateMiner(algo)->Mine(db, options).ToString();
+    ASSERT_TRUE(failpoint::Configure("disc.loop=throw").ok());
+    for (const std::uint32_t threads : {1u, 4u}) {
+      options.threads = threads;
+      const MineResult result = CreateMiner(algo)->TryMine(db, options);
+      ExpectContainedPrefix(
+          result, full, "disc.loop",
+          std::string(algo) + " threads=" + std::to_string(threads));
+    }
+    failpoint::Reset();
+  }
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "disc/algo/miner.h"
-#include "disc/core/disc_all.h"
 #include "disc/core/dynamic_disc_all.h"
 #include "disc/gen/quest.h"
 #include "test_util.h"
@@ -50,25 +49,6 @@ TEST(ParallelDeterminism, DynamicDiscAllByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(CreateMiner("dynamic-disc-all")->Mine(db, options).ToString(),
               baseline)
         << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminism, ArenaScratchByteIdenticalToOwnedScratch) {
-  // The per-worker scratch arena (default) and the legacy owning-Sequence
-  // scratch must mine byte-identical PatternSets at every thread count.
-  const SequenceDatabase db = QuestDb();
-  MineOptions options;
-  options.min_support_count = MineOptions::CountForFraction(db.size(), 0.05);
-  options.threads = 1;
-  DiscAll::Config legacy;
-  legacy.arena_scratch = false;
-  const std::string baseline = DiscAll(legacy).Mine(db, options).ToString();
-  for (const std::uint32_t threads : kThreadCounts) {
-    options.threads = threads;
-    EXPECT_EQ(DiscAll().Mine(db, options).ToString(), baseline)
-        << "arena threads=" << threads;
-    EXPECT_EQ(DiscAll(legacy).Mine(db, options).ToString(), baseline)
-        << "owned threads=" << threads;
   }
 }
 

@@ -135,6 +135,51 @@ TEST(Reduce, SoundnessOnRandomData) {
   }
 }
 
+TEST(Reduce, ArenaReducerMatchesReference) {
+  // The miner's arena reducer must produce exactly the owning reference
+  // reduction, dropping (and rolling back) the ones shorter than 3 items.
+  // One warm arena serves every partition, as a worker's scratch does.
+  const SequenceDatabase db = testutil::RandomDatabase(7);
+  const std::uint32_t delta = 2;
+  SequenceArena arena;
+  std::size_t kept = 0;
+  for (Item lambda = 1; lambda <= db.max_item(); ++lambda) {
+    Sequence pat1;
+    pat1.AppendNewItemset(lambda);
+    std::vector<Cid> members;
+    CountingArray counts(db.max_item());
+    for (Cid cid = 0; cid < db.size(); ++cid) {
+      const auto items = db[cid].items();
+      if (std::find(items.begin(), items.end(), lambda) == items.end()) {
+        continue;
+      }
+      members.push_back(cid);
+      ForEachExtension(db[cid], pat1, [&counts, cid](Item x, ExtType type) {
+        counts.Add(x, type, cid);
+      });
+    }
+    arena.Clear();
+    for (const Cid cid : members) {
+      const Sequence ref =
+          ReduceCustomerSequence(db[cid], lambda, counts, delta);
+      const std::size_t before = arena.size();
+      const std::uint32_t length =
+          ReduceCustomerSequenceInto(db[cid], lambda, counts, delta, 3, &arena);
+      if (ref.Length() < 3) {
+        EXPECT_EQ(length, 0u) << ref.ToString();
+        EXPECT_EQ(arena.size(), before);
+      } else {
+        EXPECT_EQ(length, ref.Length());
+        ASSERT_EQ(arena.size(), before + 1);
+        EXPECT_EQ(MaterializeSequence(arena.back()), ref)
+            << "lambda=" << lambda << " cid=" << cid;
+        ++kept;
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+}
+
 TEST(RunDiscLoop, FindsAllLongPatterns) {
   // Four copies of the same sequence: every subsequence is frequent.
   SequenceDatabase db;
@@ -152,7 +197,7 @@ TEST(RunDiscLoop, FindsAllLongPatterns) {
   }
   PatternSet out;
   RunDiscLoop(members, list, 2, 4, /*bilevel=*/true, db.max_item(),
-              /*max_length=*/0, &out, nullptr);
+              /*max_length=*/0, &out);
   // 2^4 - 1 - 4 = 11 patterns of length >= 2.
   EXPECT_EQ(out.size(), 11u);
   EXPECT_EQ(out.SupportOf(Seq("(a)(b)(c)(d)")), 4u);

@@ -18,8 +18,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   view_arena_test parse_io_test sequence_test index_test \
   disc_all_test parallel_determinism_test status_test failpoint_test \
   order_property_test locative_avl_test kms_test ksorted_test \
-  candidate_bound_test \
-  storage_format_test shard_merge_test \
+  scheduler_test storage_format_test shard_merge_test \
   engine_test server_protocol_test admission_test server_transport_test \
   bench_parallel seqmine seqmined
 
@@ -41,8 +40,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/locative_avl_test"
 "$BUILD_DIR/tests/kms_test"
 "$BUILD_DIR/tests/ksorted_test"
-# The bound test pins skip-path byte-identity under sanitizers too.
-"$BUILD_DIR/tests/candidate_bound_test"
+# The partition scheduler's stop, failure and merge bookkeeping, driven by
+# fake partitions at several worker counts.
+"$BUILD_DIR/tests/scheduler_test"
 # The .dsa hostile-input battery reads attacker-controlled bytes through
 # the mmap adoption path — every fuzzed flip must fail cleanly, not read
 # out of bounds; the shard merge suite exercises the masked first-level

@@ -94,7 +94,7 @@ run 4 "deadline with slow pool" -- "$GOOD" --delta=2 --quiet --threads=4 \
 # --- Worker crash containment: internal error, pool survives (exit 3) -------
 run 3 "reduce crash parallel" -- "$GOOD" --delta=2 --quiet --threads=2 \
                                  --failpoints='disc.reduce=throw'
-expect_stderr "worker task failed" "reduce crash parallel"
+expect_stderr "partition mining failed" "reduce crash parallel"
 run 3 "reduce crash serial"   -- "$GOOD" --delta=2 --quiet \
                                  --failpoints='disc.reduce=throw'
 expect_stderr "partition mining failed" "reduce crash serial"

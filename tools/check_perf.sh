@@ -46,14 +46,12 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-KERNELS_BIN="$BUILD_DIR/bench/bench_kernels"
 STORAGE_BIN="$BUILD_DIR/bench/bench_storage"
-if [[ ! -x "$KERNELS_BIN" || ! -x "$STORAGE_BIN" ]]; then
+if [[ ! -x "$STORAGE_BIN" ]]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_kernels bench_storage
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_storage
 fi
 
-KERNELS_OUT="$BUILD_DIR/BENCH_kernels.json"
 STORAGE_BASELINE=BENCH_storage.json
 STORAGE_OUT="$BUILD_DIR/BENCH_storage.json"
 
@@ -78,16 +76,13 @@ expect_runs() {
 }
 
 if [[ "$SMOKE" == 1 ]]; then
-  # Tiny workloads: asserts each bench pipeline runs end to end (binary,
-  # JSON report, run extraction) without gating the ratios — they are pure
-  # noise at this size. Both binaries gate byte-identity themselves.
-  "$KERNELS_BIN" --ncust=200 --minsup=0.05 --reps=1 \
-    --json-out="$KERNELS_OUT" >/dev/null
-  expect_runs "$KERNELS_OUT" kernel.bound.off kernel.bound.on
+  # Tiny workload: asserts the bench pipeline runs end to end (binary,
+  # JSON report, run extraction) without gating the ratio — it is pure
+  # noise at this size. The binary gates byte-identity itself.
   "$STORAGE_BIN" --ncust=300 --reps=2 --workdir="$BUILD_DIR" \
     --json-out="$STORAGE_OUT" >/dev/null
   expect_runs "$STORAGE_OUT" storage.parse storage.mmap
-  echo "perf gate smoke: ok ($KERNELS_OUT, $STORAGE_OUT)"
+  echo "perf gate smoke: ok ($STORAGE_OUT)"
   exit 0
 fi
 

@@ -12,12 +12,14 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DDISC_SANITIZE=thread >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-  thread_pool_test parallel_determinism_test obs_test obs_live_test \
+  thread_pool_test scheduler_test parallel_determinism_test obs_test \
+  obs_live_test \
   failpoint_test engine_test server_protocol_test \
   admission_test server_transport_test bench_parallel seqmine seqmined
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/thread_pool_test"
+"$BUILD_DIR/tests/scheduler_test"
 "$BUILD_DIR/tests/parallel_determinism_test"
 "$BUILD_DIR/tests/obs_test"
 "$BUILD_DIR/tests/obs_live_test"
