@@ -31,7 +31,14 @@ std::uint32_t CountingArray::Count(Item x, ExtType type) const {
 
 std::vector<std::pair<Item, ExtType>> CountingArray::FrequentExtensions(
     std::uint32_t delta) const {
-  std::vector<Item> items = touched_;
+  // Filter, then sort: most touched items are infrequent, so the sort only
+  // orders the survivors.
+  std::vector<Item> items;
+  for (const Item x : touched_) {
+    if (i_entries_[x].count >= delta || s_entries_[x].count >= delta) {
+      items.push_back(x);
+    }
+  }
   std::sort(items.begin(), items.end());
   std::vector<std::pair<Item, ExtType>> out;
   for (const Item x : items) {

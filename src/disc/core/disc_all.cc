@@ -46,6 +46,7 @@ struct Scratch {
   // Second-level partition table; inner vectors keep their capacity across
   // partitions (cleared, never moved from).
   std::vector<std::vector<std::uint32_t>> second_level;
+  ChildSlots child_slots;
   PartitionMembers pairs;
   bool warm = false;
 };
@@ -114,8 +115,8 @@ class PartitionMiner {
     }
     if (freq2.empty() || options_.max_length == 2) return;
 
-    ExtFilter filter;
-    filter.Build(freq2, max_item_);
+    ChildSlots& child_slots = scratch_.child_slots;
+    child_slots.Build(freq2);
 
     // Fault-injection hook covering the scratch/reduction path (the
     // allocation-heavy part of a partition mine).
@@ -123,15 +124,17 @@ class PartitionMiner {
       throw std::runtime_error("failpoint disc.reduce");
     }
 
-    // Reduce members (step 2.1.2) and split into second-level partitions by
-    // 2-minimum sequence. Each reduced sequence gets an occurrence index,
-    // reused by every later scan over it (keys, counting, DISC passes).
-    // The stores and the slot table come from the worker scratch: clear
-    // them, keep their capacity. A reduced sequence is appended straight
-    // into the flat scratch arena; the index and the key scan read it
-    // through a transient back() view that never survives into the next
-    // append (the SequenceIndex copies what it needs), so slab regrowth
-    // cannot dangle anything.
+    // Reduce members (step 2.1.2) and enroll each reduced sequence in the
+    // second-level partition of every frequent 2-sequence it contains:
+    // the children the paper's reassign-forward walk (step 2.1.3) takes it
+    // through, in one scan (ChildSlots). Each reduced sequence gets an
+    // occurrence index, reused by every later scan over it (enrollment,
+    // counting, DISC passes). The stores and the slot table come from the
+    // worker scratch: clear them, keep their capacity. A reduced sequence
+    // is appended straight into the flat scratch arena; the index and the
+    // enrollment scan read it through a transient back() view that never
+    // survives into the next append (the SequenceIndex copies what it
+    // needs), so slab regrowth cannot dangle anything.
     std::deque<SequenceIndex>& indexes = scratch_.indexes;
     indexes.clear();
     SequenceArena& arena = scratch_.arena;
@@ -147,15 +150,12 @@ class PartitionMiner {
       }
       const SequenceView red = arena.back();
       indexes.emplace_back(red);
-      const auto key =
-          ScanMinFrequentExt(red, pat1, filter, nullptr, &indexes.back());
-      if (!key.has_value()) {
+      if (!child_slots.Enroll(
+              red, pat1, &indexes.back(),
+              static_cast<std::uint32_t>(indexes.size() - 1), &second_level)) {
         arena.PopBack();
         indexes.pop_back();
-        continue;
       }
-      second_level[ExtIndex(freq2, *key)].push_back(
-          static_cast<std::uint32_t>(indexes.size() - 1));
     }
 
     // The append phase is over; collect stable views of the survivors
@@ -169,7 +169,8 @@ class PartitionMiner {
     result_.arena_bytes = arena.SizeBytes();
 
     // Physical level-1 NRR: average second-level size over this
-    // first-level partition's size (Equation 2 on actual sizes).
+    // first-level partition's size (Equation 2 on actual sizes). A child's
+    // size counts every member it is mined with.
     {
       std::uint64_t child_sum = 0;
       std::uint64_t children = 0;
@@ -187,27 +188,14 @@ class PartitionMiner {
       }
     }
 
-    // Process second-level partitions ascending, reassigning forward.
-    // Reassignments always move a slot to a strictly later entry (the floor
-    // is exclusive), so iterating entry j by reference while appending to
-    // entries > j is safe — and not moving the slot vectors out keeps
-    // their capacity for the next first-level partition.
+    // Mine the second-level partitions ascending (step 2.1.3).
     for (std::size_t j = 0; j < freq2.size(); ++j) {
       const std::vector<std::uint32_t>& slots = second_level[j];
-      if (slots.empty()) continue;
-      if (slots.size() >= delta) {
-        DISC_OBS_INC(g_second_level_partitions);
-        DISC_OBS_RECORD(g_second_level_size, slots.size());
-        ProcessSecondLevel(Extend(pat1, freq2[j].first, freq2[j].second),
-                           reduced, indexes, slots, delta);
-      }
-      for (const std::uint32_t slot : slots) {
-        const auto next = ScanMinFrequentExt(reduced[slot], pat1, filter,
-                                             &freq2[j], &indexes[slot]);
-        if (next.has_value()) {
-          second_level[ExtIndex(freq2, *next)].push_back(slot);
-        }
-      }
+      if (slots.size() < delta) continue;
+      DISC_OBS_INC(g_second_level_partitions);
+      DISC_OBS_RECORD(g_second_level_size, slots.size());
+      ProcessSecondLevel(Extend(pat1, freq2[j].first, freq2[j].second),
+                         reduced, indexes, slots, delta);
     }
   }
 

@@ -6,12 +6,13 @@
 //   2. Per <(λ)>-partition with λ frequent: a counting array finds the
 //      frequent 2-sequences with prefix λ in one scan; customer sequences
 //      are reduced (non-frequent 1-/2-sequences removed) and split into
-//      second-level partitions by 2-minimum sequence; per second-level
-//      partition another counting-array scan finds the frequent
-//      3-sequences, and the DISC strategy (bi-level by default, as in the
-//      paper's experiments) finds everything longer. Customers are
-//      reassigned to their next partition after each second-level
-//      partition completes.
+//      second-level partitions; per second-level partition another
+//      counting-array scan finds the frequent 3-sequences, and the DISC
+//      strategy (bi-level by default, as in the paper's experiments) finds
+//      everything longer. The paper assigns a customer to the partition of
+//      its 2-minimum sequence and reassigns it forward after each one; one
+//      scan enrolls it in every partition that walk visits (ChildSlots,
+//      core/partition.h).
 //
 // The first-level ⟨λ⟩-partition is exactly the customer sequences
 // containing λ, so the partitions are statically determined and
@@ -67,8 +68,10 @@ class DiscAll : public Miner, public FirstLevelConsumer {
   // "disc.iterations", "disc.partitions.first_level" /
   // ".second_level", "disc.scratch.reuses", and gauges "mine.threads" and
   // "disc.physical_nrr.level0" / ".level1" (Equation 2 over actual
-  // partition sizes, Table 12's "Original" column; unset when no partition
-  // was processed at that level).
+  // partition sizes, Table 12's "Original" column; a second-level size
+  // counts every member the partition is mined with, reassigned ones
+  // included, averaged over the non-empty partitions; unset when no
+  // partition was processed at that level).
   PatternSet DoMine(const SequenceDatabase& db,
                     const MineOptions& options) override;
 

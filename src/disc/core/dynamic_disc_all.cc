@@ -1,5 +1,6 @@
 #include "disc/core/dynamic_disc_all.h"
 
+#include <utility>
 #include <vector>
 
 #include "disc/common/check.h"
@@ -220,29 +221,25 @@ class Run {
       return;
     }
 
-    // Step 3: partition one level deeper and recurse, reassigning each
-    // member to its next child partition afterwards.
+    // Step 3: partition one level deeper and recurse. One scan per member
+    // enrolls it, by position, in the child of every frequent extension it
+    // contains: the children the reassign-forward walk takes it through
+    // (ChildSlots). A child's member records exist only while it is mined.
     DISC_OBS_INC(g_partitions_split);
-    ExtFilter filter;
-    filter.Build(freq, db_.max_item());
-    std::vector<Members> children(freq.size());
-    for (const PartitionMember& member : members) {
-      const auto key = ScanMinFrequentExt(member.seq, prefix, filter, nullptr,
-                                          member.index);
-      if (key.has_value()) children[ExtIndex(freq, *key)].push_back(member);
+    ChildSlots child_slots;
+    child_slots.Build(freq);
+    std::vector<std::vector<std::uint32_t>> children(freq.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      child_slots.Enroll(members[i].seq, prefix, members[i].index,
+                         static_cast<std::uint32_t>(i), &children);
     }
     for (std::size_t j = 0; j < freq.size(); ++j) {
-      const Members child = std::move(children[j]);
-      if (child.size() >= delta) {
-        Recurse(Extend(prefix, freq[j].first, freq[j].second), child, out);
-      }
-      for (const PartitionMember& member : child) {
-        const auto next = ScanMinFrequentExt(member.seq, prefix, filter,
-                                             &freq[j], member.index);
-        if (next.has_value()) {
-          children[ExtIndex(freq, *next)].push_back(member);
-        }
-      }
+      const std::vector<std::uint32_t> positions = std::move(children[j]);
+      if (positions.size() < delta) continue;
+      Members child;
+      child.reserve(positions.size());
+      for (const std::uint32_t i : positions) child.push_back(members[i]);
+      Recurse(Extend(prefix, freq[j].first, freq[j].second), child, out);
     }
   }
 

@@ -10,62 +10,37 @@
 
 namespace disc {
 
-void ExtFilter::Build(
-    const std::vector<std::pair<Item, ExtType>>& frequent_exts,
-    Item max_item) {
-  i_ok_.assign(static_cast<std::size_t>(max_item) + 1, false);
-  s_ok_.assign(static_cast<std::size_t>(max_item) + 1, false);
-  for (const auto& [x, type] : frequent_exts) {
-    DISC_DCHECK(x <= max_item);
-    (type == ExtType::kItemset ? i_ok_ : s_ok_)[x] = true;
+void ChildSlots::Build(const std::vector<std::pair<Item, ExtType>>& freq) {
+  for (const std::size_t e : built_) slot_[e] = 0;
+  built_.clear();
+  if (freq.empty()) return;
+  const std::size_t entries =
+      2 * (static_cast<std::size_t>(freq.back().first) + 1);
+  if (slot_.size() < entries) slot_.resize(entries, 0);
+  for (std::size_t j = 0; j < freq.size(); ++j) {
+    const std::size_t e = 2 * static_cast<std::size_t>(freq[j].first) +
+                          static_cast<std::size_t>(freq[j].second);
+    slot_[e] = static_cast<std::uint32_t>(j + 1);
+    built_.push_back(e);
   }
 }
 
-std::optional<std::pair<Item, ExtType>> MinFrequentExt(
-    const ExtensionSets& exts, const ExtFilter& filter,
-    const std::pair<Item, ExtType>* floor_exclusive) {
-  std::optional<std::pair<Item, ExtType>> best;
-  auto consider = [&](Item x, ExtType t) {
-    if (!filter.IsFrequent(x, t)) return false;
-    if (floor_exclusive != nullptr &&
-        CompareExtensions(x, t, floor_exclusive->first,
-                          floor_exclusive->second) <= 0) {
-      return false;
-    }
-    if (!best.has_value() ||
-        CompareExtensions(x, t, best->first, best->second) < 0) {
-      best = {x, t};
-    }
-    return true;
-  };
-  // Each vector is sorted, so the first qualifying entry per type wins.
-  for (const Item x : exts.i_items) {
-    if (consider(x, ExtType::kItemset)) break;
-  }
-  for (const Item x : exts.s_items) {
-    if (consider(x, ExtType::kSequence)) break;
-  }
-  return best;
-}
-
-std::optional<std::pair<Item, ExtType>> ScanMinFrequentExt(
-    SequenceView s, const Sequence& prefix, const ExtFilter& filter,
-    const std::pair<Item, ExtType>* floor_exclusive,
-    const SequenceIndex* index) {
-  std::optional<std::pair<Item, ExtType>> best;
-  ForEachExtension(s, prefix, [&](Item x, ExtType t) {
-    if (!filter.IsFrequent(x, t)) return;
-    if (floor_exclusive != nullptr &&
-        CompareExtensions(x, t, floor_exclusive->first,
-                          floor_exclusive->second) <= 0) {
-      return;
-    }
-    if (!best.has_value() ||
-        CompareExtensions(x, t, best->first, best->second) < 0) {
-      best = {x, t};
-    }
+bool ChildSlots::Enroll(
+    SequenceView s, const Sequence& prefix, const SequenceIndex* index,
+    std::uint32_t member,
+    std::vector<std::vector<std::uint32_t>>* children) const {
+  bool enrolled = false;
+  ForEachExtension(s, prefix, [&](Item x, ExtType type) {
+    const std::size_t e =
+        2 * static_cast<std::size_t>(x) + static_cast<std::size_t>(type);
+    if (e >= slot_.size() || slot_[e] == 0) return;
+    // The scan repeats extensions; the member's own last append dedups it.
+    std::vector<std::uint32_t>& child = (*children)[slot_[e] - 1];
+    if (!child.empty() && child.back() == member) return;
+    child.push_back(member);
+    enrolled = true;
   }, index);
-  return best;
+  return enrolled;
 }
 
 DISC_OBS_COUNTER(g_reduced, "partition.reduced_sequences");

@@ -1,18 +1,14 @@
 // Shared machinery for the multi-level partitioning scheme (paper §3.1):
-// frequent-extension filters, second-level partition keys, the
-// customer-sequence reduction rules, and the DISC k-loop that both DISC-all
-// (Figure 2, step 2.1.3.2) and Dynamic DISC-all (Appendix, step 4) run once
-// partitioning stops.
+// child-partition enrollment, the customer-sequence reduction rules, and
+// the DISC k-loop that both DISC-all (Figure 2, step 2.1.3.2) and Dynamic
+// DISC-all (Appendix, step 4) run once partitioning stops.
 #ifndef DISC_CORE_PARTITION_H_
 #define DISC_CORE_PARTITION_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "disc/algo/pattern_set.h"
-#include "disc/common/check.h"
 #include "disc/core/counting_array.h"
 #include "disc/core/member.h"
 #include "disc/order/compare.h"
@@ -24,50 +20,37 @@
 
 namespace disc {
 
-/// Membership filter over the frequent one-item extensions of a fixed
-/// prefix: answers "is (item, type) frequent?" in O(1).
-class ExtFilter {
+/// Child-partition enrollment (Figure 2, steps 2.1.2-2.1.3; Appendix,
+/// step 3). The paper assigns a member to the child partition of its
+/// minimum frequent extension and, once that child is mined, reassigns it
+/// forward to the child of its next one, so over the whole partition a
+/// member visits the child of every frequent extension it contains and no
+/// other. Every child's membership is therefore fixed before any child is
+/// mined, and one extension scan per member builds all of them at once
+/// (DESIGN.md deviation 10).
+class ChildSlots {
  public:
-  /// Builds the filter for the given frequent extensions; items must not
-  /// exceed max_item.
-  void Build(const std::vector<std::pair<Item, ExtType>>& frequent_exts,
-             Item max_item);
+  /// Numbers the prefix's frequent one-item extensions `freq` (ascending,
+  /// as CountingArray::FrequentExtensions returns them): extension j feeds
+  /// child j. The table is sized by the largest frequent item and reused
+  /// across calls, and a rebuild touches only the previous and the new
+  /// entries.
+  void Build(const std::vector<std::pair<Item, ExtType>>& freq);
 
-  bool IsFrequent(Item x, ExtType type) const {
-    return type == ExtType::kItemset ? i_ok_[x] : s_ok_[x];
-  }
+  /// Appends `member` to (*children)[j] once for each frequent extension j
+  /// of `prefix` contained in `s`, and returns whether it joined any child.
+  /// `children` holds at least |freq| lists, and members are enrolled in
+  /// ascending order, so each list comes out ascending.
+  bool Enroll(SequenceView s, const Sequence& prefix,
+              const SequenceIndex* index, std::uint32_t member,
+              std::vector<std::vector<std::uint32_t>>* children) const;
 
  private:
-  std::vector<bool> i_ok_, s_ok_;
+  // Entry 2x + type: 1 + the child of extension (x, type), or 0 when that
+  // extension is not frequent.
+  std::vector<std::uint32_t> slot_;
+  std::vector<std::size_t> built_;  // entries the last Build() set
 };
-
-/// Position of `e` in `exts`, which must hold it and be sorted in the
-/// extension order (as FrequentExtensions returns them): the slot of e's
-/// child partition in a table indexed like `exts`.
-inline std::size_t ExtIndex(const std::vector<std::pair<Item, ExtType>>& exts,
-                            const std::pair<Item, ExtType>& e) {
-  const auto it = std::lower_bound(
-      exts.begin(), exts.end(), e, [](const auto& a, const auto& b) {
-        return CompareExtensions(a.first, a.second, b.first, b.second) < 0;
-      });
-  DISC_DCHECK(it != exts.end() && *it == e);
-  return static_cast<std::size_t>(it - exts.begin());
-}
-
-/// The minimum *frequent* extension of a prefix present in the extension
-/// sets, optionally restricted to extensions strictly greater than `floor`.
-/// This is the partition key ("2-minimum sequence" at level 2) and, with a
-/// floor, the "next 2-minimum sequence" used for reassignment.
-std::optional<std::pair<Item, ExtType>> MinFrequentExt(
-    const ExtensionSets& exts, const ExtFilter& filter,
-    const std::pair<Item, ExtType>* floor_exclusive);
-
-/// Single-scan variant: computes the same minimum directly from the
-/// customer sequence without materializing the extension sets.
-std::optional<std::pair<Item, ExtType>> ScanMinFrequentExt(
-    SequenceView s, const Sequence& prefix, const ExtFilter& filter,
-    const std::pair<Item, ExtType>* floor_exclusive,
-    const SequenceIndex* index = nullptr);
 
 /// Customer-sequence reduction inside a <(λ)>-partition (Figure 2, step
 /// 2.1.2): keeps only the transactions from the minimum point onward and

@@ -206,8 +206,12 @@ MineResponse Engine::Mine(const MineRequest& request) {
     response.status = session.status();
     return response;
   }
-  (*session)->Wait();
-  return (*session)->response();
+  Session& s = **session;
+  s.Wait();
+  // Nothing else reads this session's response once it is done, so move
+  // it out: a copy would hold two full results at the peak.
+  std::lock_guard<std::mutex> lock(s.mu_);
+  return std::move(s.response_);
 }
 
 }  // namespace engine

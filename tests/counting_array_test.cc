@@ -1,5 +1,7 @@
 #include "disc/core/counting_array.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace disc {
@@ -48,6 +50,28 @@ TEST(CountingArray, FrequentExtensionsAscending) {
   EXPECT_EQ(freq[0], std::make_pair(Item{2}, ExtType::kItemset));
   EXPECT_EQ(freq[1], std::make_pair(Item{2}, ExtType::kSequence));
   EXPECT_EQ(freq[2], std::make_pair(Item{7}, ExtType::kSequence));
+
+  // Many touched items, first touched in descending order: at δ=4 the
+  // frequent forms (count 4) come out ascending whatever the touch order,
+  // the infrequent ones (count 1) not at all, and an item frequent in only
+  // one form yields only that form.
+  CountingArray d(500);
+  for (Item x = 500; x >= 1; --x) {
+    for (Cid cid = 0; cid < 3; ++cid) {
+      if (x % 7 == 0) d.Add(x, ExtType::kItemset, cid);
+      if (x % 5 == 0) d.Add(x, ExtType::kSequence, cid);
+    }
+    d.Add(x, ExtType::kItemset, 10);
+    d.Add(x, ExtType::kSequence, 11);
+  }
+  std::vector<std::pair<Item, ExtType>> want;
+  for (Item x = 1; x <= 500; ++x) {
+    if (x % 7 == 0) want.emplace_back(x, ExtType::kItemset);
+    if (x % 5 == 0) want.emplace_back(x, ExtType::kSequence);
+  }
+  EXPECT_EQ(d.FrequentExtensions(4), want);
+  EXPECT_TRUE(d.FrequentExtensions(5).empty());
+  EXPECT_EQ(d.FrequentExtensions(1).size(), 1000u);
 }
 
 TEST(CountingArray, ResetClearsEverything) {

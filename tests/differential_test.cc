@@ -1,0 +1,229 @@
+// Differential adversarial battery for the DISC miners: DISC-all (bi-level
+// and plain) and Dynamic DISC-all, each at one and four threads, must
+// report exactly pseudo-projection PrefixSpan's pattern set, and every
+// support any of them reports must equal its brute-force count
+// (CountSupport). The databases are small, seeded and built to sit on the
+// edges the partition kernel has to get right: a single customer, δ = 1
+// and δ = |DB|, one transaction of over a hundred items, the same items in
+// every transaction, sparse item ids near 10^5, and max_length cuts. Where
+// the database is tiny, completeness is also checked by enumerating every
+// distinct subsequence of every customer.
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "disc/algo/miner.h"
+#include "disc/common/rng.h"
+#include "disc/order/compare.h"
+#include "disc/order/kmin_brute.h"
+#include "disc/seq/containment.h"
+#include "test_util.h"
+
+namespace disc {
+namespace {
+
+const char* const kMiners[] = {"disc-all", "disc-all-nobilevel",
+                               "dynamic-disc-all"};
+
+// Every reported pattern has its brute-force support, at least δ, and
+// respects the length cap.
+void ExpectExactSupports(const SequenceDatabase& db, const PatternSet& got,
+                         const MineOptions& options, const std::string& who) {
+  for (const auto& [pattern, support] : got) {
+    EXPECT_EQ(CountSupport(db, pattern), support)
+        << who << " misreports " << pattern.ToString();
+    EXPECT_GE(support, options.min_support_count) << who;
+    if (options.max_length != 0) {
+      EXPECT_LE(pattern.Length(), options.max_length) << who;
+    }
+  }
+}
+
+// Runs the reference and every DISC miner at threads 1 and 4. Returns the
+// reference so callers can add shape-specific checks.
+PatternSet ExpectDiscMinersExact(const SequenceDatabase& db,
+                                 MineOptions options,
+                                 const std::string& shape) {
+  const PatternSet reference = CreateMiner("pseudo")->Mine(db, options);
+  ExpectExactSupports(db, reference, options, shape + " pseudo");
+  for (const char* name : kMiners) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      options.threads = threads;
+      const PatternSet got = CreateMiner(name)->Mine(db, options);
+      const std::string who = shape + " " + name + " threads=" +
+                              std::to_string(threads) + " delta=" +
+                              std::to_string(options.min_support_count);
+      EXPECT_EQ(reference, got) << who << "\n" << reference.Diff(got);
+      if (got != reference) ExpectExactSupports(db, got, options, who);
+    }
+  }
+  return reference;
+}
+
+// Completeness by enumeration: the frequent sequences of a tiny database,
+// counted over every distinct subsequence of every customer.
+void ExpectCompleteByEnumeration(const SequenceDatabase& db,
+                                 const MineOptions& options,
+                                 const PatternSet& reference,
+                                 const std::string& shape) {
+  std::map<Sequence, std::uint32_t, SequenceLess> support;
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    const std::uint32_t length = db[cid].Length();
+    for (std::uint32_t k = 1; k <= length; ++k) {
+      if (options.max_length != 0 && k > options.max_length) break;
+      for (const Sequence& sub : AllDistinctKSubsequences(db[cid], k)) {
+        ++support[sub];
+      }
+    }
+  }
+  std::size_t frequent = 0;
+  for (const auto& [pattern, count] : support) {
+    if (count < options.min_support_count) continue;
+    ++frequent;
+    EXPECT_EQ(reference.SupportOf(pattern), count)
+        << shape << ": " << pattern.ToString();
+  }
+  EXPECT_EQ(reference.size(), frequent) << shape;
+}
+
+// A sequence of `txns` transactions, each of 1..max_items distinct items
+// drawn from `alphabet`.
+Sequence RandomSequence(Rng& rng, const std::vector<Item>& alphabet,
+                        std::uint32_t txns, std::uint32_t max_items) {
+  std::vector<Itemset> itemsets;
+  for (std::uint32_t t = 0; t < txns; ++t) {
+    std::vector<Item> items;
+    const std::uint64_t n = 1 + rng.NextBounded(max_items);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      items.push_back(alphabet[rng.NextBounded(alphabet.size())]);
+    }
+    itemsets.emplace_back(std::move(items));
+  }
+  return Sequence(itemsets);
+}
+
+std::vector<Item> Range(Item first, Item last) {
+  std::vector<Item> items;
+  for (Item x = first; x <= last; ++x) items.push_back(x);
+  return items;
+}
+
+TEST(Differential, SingleCustomer) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    SequenceDatabase db;
+    db.Add(RandomSequence(rng, Range(1, 6), 4, 3));
+    MineOptions options;
+    options.min_support_count = 1;
+    const std::string shape = "single customer seed=" + std::to_string(seed);
+    const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+    ExpectCompleteByEnumeration(db, options, reference, shape);
+  }
+}
+
+TEST(Differential, DeltaOneAndDeltaAll) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    testutil::RandomDbSpec spec;
+    spec.num_seqs = 10;
+    spec.alphabet = 5;
+    spec.max_txns = 3;
+    spec.max_items_per_txn = 3;
+    spec.seed = seed;
+    const SequenceDatabase db = testutil::MakeRandomDb(spec);
+    for (const std::uint32_t delta :
+         {1u, static_cast<std::uint32_t>(db.size())}) {
+      MineOptions options;
+      options.min_support_count = delta;
+      const std::string shape = "random seed=" + std::to_string(seed);
+      const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+      ExpectCompleteByEnumeration(db, options, reference, shape);
+    }
+  }
+}
+
+TEST(Differential, OneTransactionOfOverAHundredItems) {
+  for (const std::uint64_t seed : {21u, 22u}) {
+    Rng rng(seed);
+    SequenceDatabase db;
+    db.Add(Sequence({Itemset(Range(1, 120))}));
+    for (int i = 0; i < 12; ++i) {
+      db.Add(RandomSequence(rng, Range(1, 120),
+                            1 + static_cast<std::uint32_t>(rng.NextBounded(4)),
+                            4));
+    }
+    const std::string shape = "long transaction seed=" + std::to_string(seed);
+    MineOptions options;
+    // δ = 1 with the cut at 2: every pair inside the long transaction.
+    options.min_support_count = 1;
+    options.max_length = 2;
+    ExpectDiscMinersExact(db, options, shape);
+    options.min_support_count = 2;
+    options.max_length = 0;
+    ExpectDiscMinersExact(db, options, shape);
+  }
+}
+
+TEST(Differential, SameItemsInEveryTransaction) {
+  for (const std::uint64_t seed : {31u, 32u}) {
+    Rng rng(seed);
+    SequenceDatabase db;
+    const Itemset every({3, 5, 8});
+    for (int i = 0; i < 9; ++i) {
+      const std::uint64_t txns = 1 + rng.NextBounded(4);
+      db.Add(Sequence(std::vector<Itemset>(txns, every)));
+    }
+    const std::string shape = "same items seed=" + std::to_string(seed);
+    for (const std::uint32_t delta : {2u, 5u, 9u}) {
+      MineOptions options;
+      options.min_support_count = delta;
+      const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+      ExpectCompleteByEnumeration(db, options, reference, shape);
+    }
+  }
+}
+
+TEST(Differential, SparseHugeItemIds) {
+  const std::vector<Item> sparse = {7, 1000, 31337, 65536, 99991, 100000};
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    SequenceDatabase db;
+    for (int i = 0; i < 25; ++i) {
+      db.Add(RandomSequence(
+          rng, sparse, 1 + static_cast<std::uint32_t>(rng.NextBounded(5)),
+          3));
+    }
+    const std::string shape = "sparse ids seed=" + std::to_string(seed);
+    for (const std::uint32_t delta : {2u, 4u}) {
+      MineOptions options;
+      options.min_support_count = delta;
+      ExpectDiscMinersExact(db, options, shape);
+    }
+  }
+}
+
+TEST(Differential, MaxLengthCuts) {
+  for (const std::uint64_t seed : {51u, 52u}) {
+    testutil::QuestDbSpec spec;
+    spec.ncust = 60;
+    spec.nitems = 12;
+    spec.slen = 5.0;
+    spec.tlen = 2.5;
+    spec.seed = seed;
+    const SequenceDatabase db = testutil::MakeQuestDb(spec);
+    for (const std::uint32_t max_length : {2u, 3u, 4u}) {
+      MineOptions options;
+      options.min_support_count = 4;
+      options.max_length = max_length;
+      ExpectDiscMinersExact(
+          db, options,
+          "quest seed=" + std::to_string(seed) +
+              " max_length=" + std::to_string(max_length));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace disc

@@ -119,6 +119,33 @@ TEST(DiscAll, PhysicalNrrInstrumentation) {
       std::isnan(empty_miner.last_stats().Gauge("disc.physical_nrr.level0")));
 }
 
+TEST(DiscAll, PhysicalNrrLevel1CountsEveryMemberOfAChild) {
+  // Only ⟨a⟩ = all three sequences reaches the second level (⟨b⟩ and ⟨c⟩
+  // have no frequent 2-sequence). Its frequent 2-sequences are (a)(b) and
+  // (a)(c), and (a)(b)(c) contains both: it starts in the (a)(b) child and
+  // is reassigned to (a)(c), so the children are mined with {1, 2} and
+  // {1, 3}. Level-1 NRR = (2 + 2) / (2 children × 3 members) = 2/3; sizes
+  // taken before the reassignment would give (2 + 1) / 6 = 1/2. Level 0
+  // averages 3/3, 2/3 and 2/3.
+  SequenceDatabase db;
+  db.Add(Seq("(a)(b)(c)"));
+  db.Add(Seq("(a)(b)(b)"));
+  db.Add(Seq("(a)(c)(c)"));
+  MineOptions options;
+  options.min_support_count = 2;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    options.threads = threads;
+    DiscAll disc;
+    const PatternSet got = disc.Mine(db, options);
+    EXPECT_EQ(got.size(), 5u);
+    EXPECT_EQ(got.SupportOf(Seq("(a)(c)")), 2u);
+    const MineStats& s = disc.last_stats();
+    EXPECT_EQ(s.Counter("disc.partitions.second_level"), 2u);
+    EXPECT_DOUBLE_EQ(s.Gauge("disc.physical_nrr.level1"), 2.0 / 3.0);
+    EXPECT_NEAR(s.Gauge("disc.physical_nrr.level0"), 7.0 / 9.0, 1e-12);
+  }
+}
+
 TEST(DiscAll, RepeatedItemsAcrossTransactions) {
   SequenceDatabase db;
   for (int i = 0; i < 3; ++i) db.Add(Seq("(a)(a)(a)(a)"));

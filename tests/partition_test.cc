@@ -1,6 +1,9 @@
 #include "disc/core/partition.h"
 
 #include <algorithm>
+#include <deque>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,46 +16,189 @@ namespace {
 
 using testutil::Seq;
 
-TEST(ExtFilter, BuildAndQuery) {
-  ExtFilter filter;
-  filter.Build({{2, ExtType::kItemset}, {2, ExtType::kSequence},
-                {5, ExtType::kSequence}},
-               8);
-  EXPECT_TRUE(filter.IsFrequent(2, ExtType::kItemset));
-  EXPECT_TRUE(filter.IsFrequent(2, ExtType::kSequence));
-  EXPECT_TRUE(filter.IsFrequent(5, ExtType::kSequence));
-  EXPECT_FALSE(filter.IsFrequent(5, ExtType::kItemset));
-  EXPECT_FALSE(filter.IsFrequent(3, ExtType::kSequence));
+using Exts = std::vector<std::pair<Item, ExtType>>;
+using Children = std::vector<std::vector<std::uint32_t>>;
+
+// The paper's reassign-forward walk (Figure 2, step 2.1.3; Appendix, step
+// 3), kept as the oracle for ChildSlots: a member starts in the child of
+// its minimum frequent extension of `prefix` and, once that child is done,
+// moves on to the child of its next one. Returns each child's members in
+// the order the walk enrolls them.
+Children ReassignForward(const std::vector<SequenceView>& seqs,
+                         const Sequence& prefix, const Exts& freq) {
+  // The first child at or after `from` whose extension `s` contains;
+  // `freq` is ascending, so that is the next minimum frequent extension.
+  const auto next_child = [&](SequenceView s, std::size_t from) {
+    const ExtensionSets exts = ScanExtensions(s, prefix);
+    for (std::size_t j = from; j < freq.size(); ++j) {
+      const std::vector<Item>& items = freq[j].second == ExtType::kItemset
+                                           ? exts.i_items
+                                           : exts.s_items;
+      if (std::binary_search(items.begin(), items.end(), freq[j].first)) {
+        return j;
+      }
+    }
+    return freq.size();
+  };
+  Children children(freq.size());
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    const std::size_t j = next_child(seqs[i], 0);
+    if (j < freq.size()) children[j].push_back(i);
+  }
+  for (std::size_t j = 0; j < freq.size(); ++j) {
+    for (std::size_t m = 0; m < children[j].size(); ++m) {
+      const std::uint32_t i = children[j][m];
+      const std::size_t next = next_child(seqs[i], j + 1);
+      if (next < freq.size()) children[next].push_back(i);
+    }
+  }
+  return children;
 }
 
-TEST(MinFrequentExt, PicksSmallestFrequent) {
-  ExtFilter filter;
-  filter.Build({{3, ExtType::kSequence}, {4, ExtType::kItemset}}, 8);
-  ExtensionSets exts;
-  exts.contained = true;
-  exts.i_items = {2, 4};
-  exts.s_items = {3, 4};
-  const auto got = MinFrequentExt(exts, filter, nullptr);
-  ASSERT_TRUE(got.has_value());
-  // (2,I) is not frequent; (3,S) beats (4,I) on item.
-  EXPECT_EQ(got->first, 3u);
-  EXPECT_EQ(got->second, ExtType::kSequence);
+// Enrolls `seqs` in ascending order, as both miners do, with or without
+// occurrence indexes, and checks the result against the oracle: the same
+// members in every child (one-scan lists are ascending, so the oracle's
+// are sorted first), and Enroll reports exactly the members the walk
+// places somewhere. Returns the number of enrollments.
+std::size_t ExpectEnrollmentMatchesWalk(const std::vector<SequenceView>& seqs,
+                                        const Sequence& prefix,
+                                        const Exts& freq, bool indexed,
+                                        ChildSlots* slots) {
+  std::deque<SequenceIndex> indexes;
+  for (const SequenceView s : seqs) indexes.emplace_back(s);
+  slots->Build(freq);
+  Children got(freq.size());
+  std::vector<bool> enrolled;
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    enrolled.push_back(slots->Enroll(seqs[i], prefix,
+                                     indexed ? &indexes[i] : nullptr, i,
+                                     &got));
+  }
+  Children want = ReassignForward(seqs, prefix, freq);
+  std::vector<bool> placed(seqs.size(), false);
+  std::size_t enrollments = 0;
+  for (std::size_t j = 0; j < freq.size(); ++j) {
+    std::sort(want[j].begin(), want[j].end());
+    EXPECT_EQ(got[j], want[j]) << "prefix " << prefix.ToString() << " child "
+                               << j;
+    for (const std::uint32_t i : want[j]) placed[i] = true;
+    enrollments += got[j].size();
+  }
+  EXPECT_EQ(enrolled, placed) << "prefix " << prefix.ToString();
+  return enrollments;
 }
 
-TEST(MinFrequentExt, FloorIsExclusive) {
-  ExtFilter filter;
-  filter.Build({{3, ExtType::kSequence}, {4, ExtType::kItemset}}, 8);
-  ExtensionSets exts;
-  exts.contained = true;
-  exts.i_items = {4};
-  exts.s_items = {3};
-  const std::pair<Item, ExtType> floor{3, ExtType::kSequence};
-  const auto got = MinFrequentExt(exts, filter, &floor);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->first, 4u);
-  EXPECT_EQ(got->second, ExtType::kItemset);
-  const std::pair<Item, ExtType> high_floor{4, ExtType::kItemset};
-  EXPECT_FALSE(MinFrequentExt(exts, filter, &high_floor).has_value());
+// The frequent one-item extensions of `prefix` over `seqs`, counted into
+// the empty `counts`.
+Exts CountFrequentExtensions(const std::vector<SequenceView>& seqs,
+                             const Sequence& prefix, std::uint32_t delta,
+                             CountingArray* counts) {
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    ForEachExtension(seqs[i], prefix, [counts, i](Item x, ExtType type) {
+      counts->Add(x, type, i);
+    });
+  }
+  return counts->FrequentExtensions(delta);
+}
+
+TEST(ChildSlots, OneScanEqualsReassignForwardOnReducedSequences) {
+  // DISC-all's second level: the reduced sequences of every first-level
+  // ⟨λ⟩-partition, enrolled under the frequent 2-sequences with prefix λ.
+  // One ChildSlots serves every partition, as a worker's scratch does.
+  ChildSlots slots;
+  std::size_t enrollments = 0;
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    testutil::RandomDbSpec spec;
+    spec.num_seqs = 40;
+    spec.alphabet = 10;
+    spec.max_txns = 6;
+    spec.seed = seed;
+    const SequenceDatabase db = testutil::MakeRandomDb(spec);
+    for (const std::uint32_t delta : {1u, 2u, 4u}) {
+      for (Item lambda = 1; lambda <= db.max_item(); ++lambda) {
+        Sequence pat1;
+        pat1.AppendNewItemset(lambda);
+        std::vector<SequenceView> members;
+        for (Cid cid = 0; cid < db.size(); ++cid) {
+          if (Contains(db[cid], pat1)) members.push_back(db[cid]);
+        }
+        if (members.size() < delta) continue;
+        CountingArray counts(db.max_item());
+        const Exts freq2 =
+            CountFrequentExtensions(members, pat1, delta, &counts);
+        std::vector<Sequence> reduced;
+        for (const SequenceView m : members) {
+          Sequence red = ReduceCustomerSequence(m, lambda, counts, delta);
+          if (red.Length() >= 3) reduced.push_back(std::move(red));
+        }
+        std::vector<SequenceView> views(reduced.begin(), reduced.end());
+        for (const bool indexed : {true, false}) {
+          enrollments +=
+              ExpectEnrollmentMatchesWalk(views, pat1, freq2, indexed, &slots);
+        }
+      }
+    }
+  }
+  EXPECT_GT(enrollments, 0u);
+}
+
+TEST(ChildSlots, OneScanEqualsReassignForwardOnDynamicMembers) {
+  // Dynamic DISC-all's deeper levels: the members of a ⟨prefix⟩-partition
+  // (the sequences containing the prefix) enrolled by position under the
+  // prefix's frequent extensions, for prefixes of length 0 to 2.
+  ChildSlots slots;
+  std::size_t enrollments = 0;
+  for (const std::uint64_t seed : {5u, 17u}) {
+    testutil::RandomDbSpec spec;
+    spec.num_seqs = 30;
+    spec.alphabet = 7;
+    spec.seed = seed;
+    const SequenceDatabase db = testutil::MakeRandomDb(spec);
+    for (const std::uint32_t delta : {2u, 3u, 6u}) {
+      std::vector<Sequence> level = {Sequence()};
+      for (std::uint32_t k = 0; k < 3; ++k) {
+        std::vector<Sequence> deeper;
+        for (const Sequence& prefix : level) {
+          std::vector<SequenceView> members;
+          for (Cid cid = 0; cid < db.size(); ++cid) {
+            if (Contains(db[cid], prefix)) members.push_back(db[cid]);
+          }
+          CountingArray counts(db.max_item());
+          const Exts freq =
+              CountFrequentExtensions(members, prefix, delta, &counts);
+          enrollments += ExpectEnrollmentMatchesWalk(members, prefix, freq,
+                                                     true, &slots);
+          for (const auto& [x, type] : freq) {
+            deeper.push_back(Extend(prefix, x, type));
+          }
+        }
+        level = std::move(deeper);
+      }
+    }
+  }
+  EXPECT_GT(enrollments, 0u);
+}
+
+TEST(ChildSlots, RebuildForgetsEarlierExtensions) {
+  // A warm table must not keep a previous partition's extensions: after a
+  // rebuild to a smaller set, the dropped extensions enroll nobody.
+  const Sequence seq = Seq("(a)(b,c)(d)");
+  const Sequence prefix = Seq("(a)");
+  ChildSlots slots;
+  slots.Build({{2, ExtType::kSequence},
+               {3, ExtType::kSequence},
+               {4, ExtType::kSequence}});
+  Children children(3);
+  EXPECT_TRUE(slots.Enroll(seq, prefix, nullptr, 0, &children));
+  EXPECT_EQ(children, (Children{{0}, {0}, {0}}));
+  slots.Build({{3, ExtType::kSequence}});
+  children.assign(3, {});
+  EXPECT_TRUE(slots.Enroll(seq, prefix, nullptr, 7, &children));
+  EXPECT_EQ(children, (Children{{7}, {}, {}}));
+  slots.Build({{3, ExtType::kItemset}});  // c never joins a's itemset
+  children.assign(3, {});
+  EXPECT_FALSE(slots.Enroll(seq, prefix, nullptr, 0, &children));
+  EXPECT_EQ(children, (Children{{}, {}, {}}));
 }
 
 TEST(Reduce, KeepsLambdaAlways) {
