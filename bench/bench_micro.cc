@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
-// comparative order, containment, extension scan, Apriori-KMS, the
-// locative AVL tree, the counting array, and Quest generation throughput.
+// comparative order, containment, extension scan, Apriori-KMS, a k-sorted
+// database's DISC pass, the counting array, and Quest generation
+// throughput.
 //
 // Besides the google-benchmark suite, the binary doubles as the
 // observability smoke driver: any of --stats, --trace-out=<file>,
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,8 @@
 #include "disc/benchlib/workload.h"
 #include "disc/common/flags.h"
 #include "disc/core/counting_array.h"
+#include "disc/core/discovery.h"
 #include "disc/core/kms.h"
-#include "disc/core/locative_avl.h"
 #include "disc/gen/quest.h"
 #include "disc/order/compare.h"
 #include "disc/seq/containment.h"
@@ -94,19 +96,33 @@ void BM_AprioriKms(benchmark::State& state) {
 }
 BENCHMARK(BM_AprioriKms);
 
-void BM_LocativeAvlInsertSelect(benchmark::State& state) {
+// Build plus one DISC pass of a k-sorted database: the frequent
+// 2-sequences of a fixed 64-member partition of the seeded micro database.
+void BM_KSortedDiscPass(benchmark::State& state) {
+  const SequenceDatabase db = MicroDb();
+  std::deque<SequenceIndex> indexes;
+  PartitionMembers members;
+  for (Cid cid = 0; cid < 64; ++cid) {
+    indexes.emplace_back(db[cid]);
+    members.push_back({db[cid], &indexes.back(), cid});
+  }
+  DiscoveryOptions options;
+  options.k = 2;
+  options.delta = 4;
+  std::vector<Sequence> list;  // the partition's frequent 1-sequences
+  for (Item x = 1; x <= db.max_item(); ++x) {
+    Sequence s;
+    s.AppendNewItemset(x);
+    std::uint32_t support = 0;
+    for (const PartitionMember& m : members) support += Contains(m.seq, s);
+    if (support >= options.delta) list.push_back(std::move(s));
+  }
   for (auto _ : state) {
-    LocativeAvlTree tree;
-    for (std::uint32_t h = 0; h < 512; ++h) {
-      tree.Insert(RankKey{h % 61, 1 + h % 7, ExtType::kSequence}, h);
-    }
-    benchmark::DoNotOptimize(tree.SelectKey(tree.size() / 2));
-    std::vector<std::uint32_t> out;
-    tree.PopMinBucket(&out);
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(
+        DiscoverFrequentK(members, list, options, nullptr));
   }
 }
-BENCHMARK(BM_LocativeAvlInsertSelect);
+BENCHMARK(BM_KSortedDiscPass);
 
 void BM_CountingArray(benchmark::State& state) {
   CountingArray counts(1000);

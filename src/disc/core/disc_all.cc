@@ -73,12 +73,11 @@ struct PartitionResult {
 class PartitionMiner {
  public:
   PartitionMiner(const SequenceDatabase& db, const MineOptions& options,
-                 const DiscAll::Config& config, Item max_item,
-                 Scratch* scratch, PartitionResult* result)
+                 const DiscAll::Config& config, Scratch* scratch,
+                 PartitionResult* result)
       : db_(db),
         options_(options),
         config_(config),
-        max_item_(max_item),
         scratch_(*scratch),
         result_(*result) {}
 
@@ -224,7 +223,8 @@ class PartitionMiner {
     }
     if (options_.max_length != 0 && options_.max_length <= 3) return;
 
-    // DISC for k >= 4 (step 2.1.3.2).
+    // DISC for k >= 4 (step 2.1.3.2). The counting array is free again
+    // (freq3 has been read), so the bi-level harvests reuse it.
     PartitionMembers& pairs = scratch_.pairs;
     pairs.clear();
     pairs.reserve(slots.size());
@@ -232,14 +232,13 @@ class PartitionMiner {
       pairs.push_back({reduced[slot], &indexes[slot], slot});
     }
     RunDiscLoop(pairs, std::move(sorted_list), 4, delta, config_.bilevel,
-                max_item_, options_.max_length, &result_.patterns,
-                config_.use_avl);
+                options_.max_length, &counts, &result_.patterns,
+                config_.locative);
   }
 
   const SequenceDatabase& db_;
   const MineOptions& options_;
   const DiscAll::Config& config_;
-  const Item max_item_;
   Scratch& scratch_;
   PartitionResult& result_;
 };
@@ -319,8 +318,8 @@ class Run {
     const std::size_t merged = MinePartitions(
         lambdas, weights, workers, ctl_, tel_,
         [&](std::size_t i, std::size_t worker) -> std::uint64_t {
-          PartitionMiner(db_, options_, config_, PartitionBound(lambdas[i]),
-                         &scratches[worker], &results[i])
+          PartitionMiner(db_, options_, config_, &scratches[worker],
+                         &results[i])
               .Mine(lambdas[i], members_of[lambdas[i]]);
           return results[i].patterns.size();
         });
@@ -368,14 +367,6 @@ class Run {
   }
 
  private:
-  /// Sizing bound for one ⟨λ⟩-partition's tables: the cached alphabet's
-  /// largest item when first-level state was provided, the global maximum
-  /// otherwise. Sizing only — the emitted patterns are identical either
-  /// way (core/first_level.h).
-  Item PartitionBound(Item lambda) const {
-    return fl_ != nullptr ? fl_->PartitionMaxItem(lambda) : db_.max_item();
-  }
-
   const SequenceDatabase& db_;
   const MineOptions& options_;
   const DiscAll::Config& config_;

@@ -40,9 +40,10 @@ class DiscAll : public Miner, public FirstLevelConsumer {
     /// (k+1)-sequences in one discovery pass. The paper's experiments use
     /// the bi-level version.
     bool bilevel = true;
-    /// Index the k-sorted databases with the locative AVL tree; false
-    /// falls back to full re-sorting per DISC iteration (ablation).
-    bool use_avl = true;
+    /// Keep the k-sorted databases in order with the locative run's
+    /// forward merge; false falls back to full re-sorting per DISC
+    /// iteration (Ablation C).
+    bool locative = true;
   };
 
   DiscAll() : DiscAll(Config{}) {}
@@ -54,8 +55,7 @@ class DiscAll : public Miner, public FirstLevelConsumer {
 
   /// Accepts precomputed first-level state (core/first_level.h): steps 1
   /// and 2 of the next DoMine() reuse the cached supports and partition
-  /// memberships instead of rescanning, and each ⟨λ⟩-partition sizes its
-  /// tables from the cached alphabet. The state must match the mined
+  /// memberships instead of rescanning. The state must match the mined
   /// database (DISC_CHECK). Output is byte-identical either way; counted
   /// by "disc.first_level.reuses".
   void ProvideFirstLevel(

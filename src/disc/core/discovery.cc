@@ -1,8 +1,5 @@
 #include "disc/core/discovery.h"
 
-#include <algorithm>
-#include <deque>
-
 #include "disc/common/check.h"
 #include "disc/core/counting_array.h"
 #include "disc/core/ksorted.h"
@@ -18,7 +15,6 @@ DISC_OBS_COUNTER(g_iterations, "disc.iterations");
 DISC_OBS_COUNTER(g_frequent_buckets, "disc.frequent_buckets");
 DISC_OBS_COUNTER(g_infrequent_skips, "disc.infrequent_skips");
 DISC_OBS_COUNTER(g_virtual_partitions, "disc.virtual_partitions");
-DISC_OBS_COUNTER(g_bound_presizes, "disc.bound.presizes");
 DISC_OBS_HISTOGRAM(g_bucket_size, "disc.bucket_size");
 
 // Attributes the increments of a just-finished counting-array pass to the
@@ -39,128 +35,19 @@ void AttributeSupportIncrements(const CountingArray& counts,
 #endif
 }
 
-// Sizing bound for the bi-level counting array: the harvest only counts
-// extension items drawn from the member sequences, so their largest item
-// suffices (the pass-construction cost is the zero-init of 2·(bound+1)
-// entries, and the database-wide max_item can be far larger).
-Item BilevelCountsBound(const PartitionMembers& members, Item max_item) {
-  Item local = 0;
-  for (const PartitionMember& m : members) {
-    for (const Item x : m.seq.items()) local = std::max(local, x);
-  }
-  if (local >= max_item) return max_item;
-  DISC_OBS_INC(g_bound_presizes);
-  return local;
-}
-
-// The re-sort ablation: a flat (key, entry) vector, fully std::sort-ed
-// after every advance batch, in place of the locative AVL tree. Same
-// semantics, O(n log n) per DISC iteration instead of O(batch · log n).
-DiscoveryResult DiscoverFrequentKResort(
-    const PartitionMembers& members, const std::vector<Sequence>& sorted_list,
-    const DiscoveryOptions& options) {
-  DiscoveryResult result;
-  struct Slot {
-    RankKey key;
-    SequenceView seq;
-    const SequenceIndex* index;
-    Cid cid;
-    KmsScanState state;
-  };
-  std::deque<SequenceIndex> owned;
-  std::vector<Slot> slots;
-  for (const PartitionMember& m : members) {
-    const SequenceIndex* index = m.index;
-    if (index == nullptr) {
-      owned.emplace_back(m.seq);
-      index = &owned.back();
-    }
-    KmsScanState state;
-    const KmsResult r = AprioriKms(m.seq, sorted_list, index, &state);
-    if (!r.found) continue;
-    slots.push_back({r.key, m.seq, index, m.cid, std::move(state)});
-  }
-  auto resort = [&slots] {
-    std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-      return CompareRankKeys(a.key, b.key) < 0;
-    });
-  };
-  resort();
-  CountingArray counts(
-      options.bilevel ? BilevelCountsBound(members, options.max_item) : 0);
-  while (slots.size() >= options.delta) {
-    ++result.iterations;
-    DISC_OBS_INC(g_iterations);
-    const RankKey alpha1 = slots.front().key;
-    const RankKey alpha_delta = slots[options.delta - 1].key;
-    const bool frequent = alpha1 == alpha_delta;
-    // The affected prefix of the sorted vector: the equal-key run
-    // (frequent) or everything below alpha_delta (non-frequent).
-    std::size_t cut = 0;
-    while (cut < slots.size() &&
-           CompareRankKeys(slots[cut].key, alpha_delta) < (frequent ? 1 : 0)) {
-      ++cut;
-    }
-    if (frequent) {
-      DISC_OBS_INC(g_frequent_buckets);
-      DISC_OBS_RECORD(g_bucket_size, cut);
-      Sequence pattern = KeySequence(sorted_list, alpha1);
-      if (options.bilevel) {
-        DISC_OBS_INC(g_virtual_partitions);
-        counts.Reset();
-        for (std::size_t i = 0; i < cut; ++i) {
-          ForEachExtension(
-              slots[i].seq, pattern,
-              [&counts, &slots, i](Item x, ExtType type) {
-                counts.Add(x, type, slots[i].cid);
-              },
-              slots[i].index);
-        }
-        for (const auto& [x, type] :
-             counts.FrequentExtensions(options.delta)) {
-          result.frequent_k1.emplace_back(Extend(pattern, x, type),
-                                          counts.Count(x, type));
-        }
-        AttributeSupportIncrements(counts, options.k + 1);
-      }
-      result.frequent_k.emplace_back(std::move(pattern),
-                                     static_cast<std::uint32_t>(cut));
-    } else {
-      DISC_OBS_INC(g_infrequent_skips);
-    }
-    const CkmsBound bound{alpha_delta, frequent};
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < cut; ++i) {
-      Slot& s = slots[i];
-      const KmsResult r =
-          AprioriCkms(s.seq, sorted_list, bound, s.index, &s.state);
-      if (!r.found) continue;
-      s.key = r.key;
-      if (keep != i) std::swap(slots[keep], slots[i]);
-      ++keep;
-    }
-    slots.erase(slots.begin() + keep, slots.begin() + cut);
-    resort();
-  }
-  return result;
-}
-
 }  // namespace
 
 DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
                                   const std::vector<Sequence>& sorted_list,
-                                  const DiscoveryOptions& options) {
+                                  const DiscoveryOptions& options,
+                                  CountingArray* counts) {
   DISC_CHECK(options.k >= 1);
   DISC_CHECK(options.delta >= 1);
+  DISC_CHECK(!options.bilevel || counts != nullptr);
   DiscoveryResult result;
   if (sorted_list.empty()) return result;
-  if (!options.use_avl) {
-    return DiscoverFrequentKResort(members, sorted_list, options);
-  }
 
-  KSortedDatabase sd(members, &sorted_list, options.k);
-  CountingArray counts(
-      options.bilevel ? BilevelCountsBound(members, options.max_item) : 0);
+  KSortedDatabase sd(members, &sorted_list, options.k, options.locative);
   std::vector<std::uint32_t> handles;
 
   while (sd.size() >= options.delta) {
@@ -185,22 +72,22 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
         // array is idempotent per customer, so the raw (duplicated)
         // extension stream suffices.
         DISC_OBS_INC(g_virtual_partitions);
-        counts.Reset();
+        counts->Reset();
         for (const std::uint32_t h : handles) {
           const KSortedEntry& e = sd.entry(h);
           ForEachExtension(
               e.seq, pattern,
-              [&counts, &e](Item x, ExtType type) {
-                counts.Add(x, type, e.cid);
+              [counts, &e](Item x, ExtType type) {
+                counts->Add(x, type, e.cid);
               },
               &sd.index(h));
         }
         for (const auto& [x, type] :
-             counts.FrequentExtensions(options.delta)) {
+             counts->FrequentExtensions(options.delta)) {
           result.frequent_k1.emplace_back(Extend(pattern, x, type),
-                                          counts.Count(x, type));
+                                          counts->Count(x, type));
         }
-        AttributeSupportIncrements(counts, options.k + 1);
+        AttributeSupportIncrements(*counts, options.k + 1);
       }
       result.frequent_k.emplace_back(
           std::move(pattern), static_cast<std::uint32_t>(handles.size()));
@@ -213,10 +100,7 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
     }
     // Supporters of a frequent α₁ move strictly past α_δ (== α₁); skipped
     // entries move to >= α_δ.
-    const CkmsBound bound{alpha_delta, /*strict=*/frequent};
-    for (const std::uint32_t h : handles) {
-      sd.AdvanceAndReinsert(h, bound);
-    }
+    sd.Advance(handles, CkmsBound{alpha_delta, /*strict=*/frequent});
   }
   return result;
 }

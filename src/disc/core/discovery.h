@@ -12,13 +12,17 @@
 //
 // until fewer than δ sequences remain. No support count of a non-frequent
 // k-sequence is ever computed. Keys are rank keys (core/rank_key.h); a
-// key becomes a Sequence only when its bucket is emitted as frequent.
+// key becomes a Sequence only when its bucket is emitted as frequent. The
+// k-sorted database is a flat locative run (core/ksorted.h): α₁ and α_δ
+// are array reads, and each iteration's advanced batch merges back into
+// the slots its pop freed.
 #ifndef DISC_CORE_DISCOVERY_H_
 #define DISC_CORE_DISCOVERY_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "disc/core/counting_array.h"
 #include "disc/core/member.h"
 #include "disc/seq/sequence.h"
 #include "disc/seq/types.h"
@@ -30,13 +34,13 @@ struct DiscoveryOptions {
   std::uint32_t k = 0;       ///< pattern length this pass discovers
   std::uint32_t delta = 1;   ///< minimum support count
   bool bilevel = false;      ///< also harvest frequent (k+1)-sequences
-  Item max_item = 0;         ///< alphabet bound (sizes the counting array)
-  /// Index the k-sorted database with the locative AVL tree (the paper's
-  /// §3.2 mechanism). When false, a flat vector is fully re-sorted after
-  /// every advance batch — the naive strategy the AVL replaces, kept as an
-  /// ablation (bench_ablations) and differential oracle. Results are
-  /// identical either way.
-  bool use_avl = true;
+  /// Keep the k-sorted database in order by merging each advanced batch
+  /// into the locative run (core/ksorted.h), the job the paper gives its
+  /// locative AVL tree (§3.2). When false, the whole live run is re-sorted
+  /// after every advance batch — the naive strategy, kept as Ablation C
+  /// (bench_ablations) and differential oracle. Results are identical
+  /// either way.
+  bool locative = true;
 };
 
 /// Output of one discovery pass.
@@ -53,10 +57,13 @@ struct DiscoveryResult {
 /// Runs the DISC discovery loop over `members`. `sorted_list` holds the
 /// frequent (k-1)-sequences of this partition, ascending; every frequent
 /// k-sequence of the partition extends one of them (anti-monotone
-/// property).
+/// property). `counts` is the caller's counting array, covering every item
+/// of the members; the bi-level harvests reset and reuse it, and it may be
+/// null when options.bilevel is false.
 DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
                                   const std::vector<Sequence>& sorted_list,
-                                  const DiscoveryOptions& options);
+                                  const DiscoveryOptions& options,
+                                  CountingArray* counts);
 
 }  // namespace disc
 

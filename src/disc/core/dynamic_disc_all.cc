@@ -1,5 +1,6 @@
 #include "disc/core/dynamic_disc_all.h"
 
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,19 @@ DISC_OBS_COUNTER(g_partitions_to_disc, "dynamic.partitions_to_disc");
 DISC_OBS_HISTOGRAM(g_partition_nrr, "dynamic.partition_nrr_x1000");
 
 using Members = PartitionMembers;
+
+// Per-worker reusable state, shared by every level of the recursion a
+// worker runs: one counting array sized by the database's alphabet (a level
+// reads its counts before it descends or runs DISC, which then reuse the
+// array) and the child-slot table (dead once a level's enrollment loop
+// ends). Building either per level costs O(max item) each time, which
+// dominates on a large alphabet.
+struct Scratch {
+  explicit Scratch(Item max_item) : counts(max_item) {}
+
+  CountingArray counts;
+  ChildSlots child_slots;
+};
 
 class Run {
  public:
@@ -88,6 +102,9 @@ class Run {
     std::vector<PatternSet> results(split ? items.size() : 1);
     std::vector<std::vector<Cid>> members_local;
     std::size_t merged = 0;
+    // The scratches flush their counting-array tallies when destroyed, so
+    // they die with Execute(), before the run's stats are read.
+    std::deque<Scratch> scratches;
     if (split) {
       DISC_OBS_INC(g_partitions_split);
       if (fl_ == nullptr) {
@@ -97,19 +114,25 @@ class Run {
           fl_ != nullptr ? fl_->members_of : members_local;
       // A child keeps only its CIDs until its task starts; the member
       // records live just as long as the task.
+      const std::size_t workers =
+          PartitionWorkers(options_.threads, items.size());
+      for (std::size_t w = 0; w < workers; ++w) {
+        scratches.emplace_back(db_.max_item());
+      }
       merged = MinePartitions(
-          items, supports, PartitionWorkers(options_.threads, items.size()),
-          ctl_, tel_, [&](std::size_t i, std::size_t) -> std::uint64_t {
+          items, supports, workers, ctl_, tel_,
+          [&](std::size_t i, std::size_t worker) -> std::uint64_t {
             Members child;
             child.reserve(members_of[items[i]].size());
             for (const Cid cid : members_of[items[i]]) {
               child.push_back(Member(cid));
             }
             Recurse(Extend(Sequence(), items[i], ExtType::kSequence), child,
-                    &results[i]);
+                    &scratches[worker], &results[i]);
             return results[i].size();
           });
     } else {
+      scratches.emplace_back(db_.max_item());
       merged = MinePartitions(
           {items[0]}, {sequences}, 1, ctl_, tel_,
           [&](std::size_t, std::size_t) -> std::uint64_t {
@@ -123,7 +146,8 @@ class Run {
             for (const Item x : items) {
               sorted_list.push_back(Extend(Sequence(), x, ExtType::kSequence));
             }
-            RunDisc(all, std::move(sorted_list), 2, &results[0]);
+            RunDisc(all, std::move(sorted_list), 2, &scratches[0],
+                    &results[0]);
             return results[0].size();
           });
     }
@@ -165,18 +189,19 @@ class Run {
   // Appendix step 4: the partitioning overhead no longer pays; DISC finds
   // every remaining length, starting at `start_k`, in this partition.
   void RunDisc(const Members& members, std::vector<Sequence> sorted_list,
-               std::uint32_t start_k, PatternSet* out) const {
+               std::uint32_t start_k, Scratch* scratch,
+               PatternSet* out) const {
     DISC_OBS_INC(g_partitions_to_disc);
     RunDiscLoop(members, std::move(sorted_list), start_k,
-                options_.min_support_count, config_.bilevel, db_.max_item(),
-                options_.max_length, out);
+                options_.min_support_count, config_.bilevel,
+                options_.max_length, &scratch->counts, out);
   }
 
   // Processes the <prefix>-partition `members` for a non-empty prefix
   // (Appendix algorithm below the root), adding every frequent sequence to
-  // `out`.
+  // `out`. `scratch` is the running worker's.
   void Recurse(const Sequence& prefix, const Members& members,
-               PatternSet* out) const {
+               Scratch* scratch, PatternSet* out) const {
     const std::uint32_t delta = options_.min_support_count;
     const std::uint32_t k = prefix.Length();
     if (members.size() < delta) return;
@@ -184,7 +209,8 @@ class Run {
 
     // Step 1: frequent (k+1)-sequences with this prefix, in one
     // counting-array scan.
-    CountingArray counts(db_.max_item());
+    CountingArray& counts = scratch->counts;
+    counts.Reset();
     for (const PartitionMember& m : members) {
       ForEachExtension(
           m.seq, prefix,
@@ -217,7 +243,7 @@ class Run {
       for (const auto& [x, type] : freq) {
         sorted_list.push_back(Extend(prefix, x, type));
       }
-      RunDisc(members, std::move(sorted_list), k + 2, out);
+      RunDisc(members, std::move(sorted_list), k + 2, scratch, out);
       return;
     }
 
@@ -226,7 +252,7 @@ class Run {
     // contains: the children the reassign-forward walk takes it through
     // (ChildSlots). A child's member records exist only while it is mined.
     DISC_OBS_INC(g_partitions_split);
-    ChildSlots child_slots;
+    ChildSlots& child_slots = scratch->child_slots;
     child_slots.Build(freq);
     std::vector<std::vector<std::uint32_t>> children(freq.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -239,7 +265,8 @@ class Run {
       Members child;
       child.reserve(positions.size());
       for (const std::uint32_t i : positions) child.push_back(members[i]);
-      Recurse(Extend(prefix, freq[j].first, freq[j].second), child, out);
+      Recurse(Extend(prefix, freq[j].first, freq[j].second), child, scratch,
+              out);
     }
   }
 

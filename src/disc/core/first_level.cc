@@ -1,7 +1,5 @@
 #include "disc/core/first_level.h"
 
-#include <algorithm>
-
 #include "disc/obs/metrics.h"
 
 namespace disc {
@@ -68,10 +66,6 @@ std::size_t FirstLevelState::SizeBytes() const {
   for (const std::vector<Cid>& m : members_of) {
     bytes += m.capacity() * sizeof(Cid);
   }
-  bytes += alphabet_of.capacity() * sizeof(std::vector<Item>);
-  for (const std::vector<Item>& a : alphabet_of) {
-    bytes += a.capacity() * sizeof(Item);
-  }
   return bytes;
 }
 
@@ -83,31 +77,8 @@ std::shared_ptr<const FirstLevelState> BuildFirstLevelState(
   state->db_total_items = db.TotalItems();
   state->max_item = db.max_item();
   state->db_content_hash = FirstLevelState::ContentHash(db);
-  const Item max_item = state->max_item;
-
   state->item_support = CountItemSupport(db);
   state->members_of = CollectPartitionMembers(db, state->item_support, 0);
-
-  // Partition-major alphabet sweep: the ⟨x⟩-partition's alphabet is the
-  // distinct items over its members. One reused stamp vector, one stamp
-  // per partition.
-  state->alphabet_of.resize(max_item + 1);
-  std::vector<std::uint64_t> seen(max_item + 1, 0);
-  std::uint64_t stamp = 0;
-  for (Item x = 1; x <= max_item; ++x) {
-    if (state->members_of[x].empty()) continue;
-    ++stamp;
-    std::vector<Item>& alphabet = state->alphabet_of[x];
-    for (const Cid cid : state->members_of[x]) {
-      for (const Item y : db[cid].items()) {
-        if (seen[y] != stamp) {
-          seen[y] = stamp;
-          alphabet.push_back(y);
-        }
-      }
-    }
-    std::sort(alphabet.begin(), alphabet.end());
-  }
   return state;
 }
 

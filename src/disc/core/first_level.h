@@ -1,8 +1,7 @@
 // Threshold-independent first-level mining state, shared across queries.
 //
-// DISC's front matter — the per-item support counts, the first-level
-// ⟨λ⟩-partition memberships, and the per-partition item alphabets — does
-// not depend on the support threshold delta at all: the ⟨λ⟩-partition is
+// DISC's front matter — the per-item support counts and the first-level
+// ⟨λ⟩-partition memberships — does not depend on the support threshold delta at all: the ⟨λ⟩-partition is
 // *exactly* the customer sequences containing λ (disc_all.h step 2), and a
 // query only decides which λ are frequent enough to mine. A resident
 // engine serving a minsup sweep therefore computes this state once per
@@ -10,9 +9,7 @@
 // which skips straight to partition mining.
 //
 // Contract: a FirstLevelState is a pure function of the database it was
-// built from. Consumers size their per-partition machinery from the cached
-// alphabets (max item of the ⟨λ⟩-partition) instead of the global
-// db.max_item(); sizing never changes which patterns are emitted, so the
+// built from, and reusing it never changes which patterns are emitted: the
 // mined PatternSet is byte-identical with or without a provided state
 // (enforced by tests/engine_test.cc at threads 1 and 4).
 #ifndef DISC_CORE_FIRST_LEVEL_H_
@@ -51,11 +48,6 @@ struct FirstLevelState {
   /// item_support[x].
   std::vector<std::vector<Cid>> members_of;
 
-  /// Per-partition alphabet: alphabet_of[x] = the distinct items occurring
-  /// anywhere in the ⟨x⟩-partition's member sequences, ascending — the
-  /// bound for every counting/filter table the partition needs.
-  std::vector<std::vector<Item>> alphabet_of;
-
   /// FNV-1a over the database's itemset boundaries and items — one O(n)
   /// pass. Callers probing several cached states against one database
   /// (engine/query_cache.cc) should compute it once and use the
@@ -71,16 +63,6 @@ struct FirstLevelState {
   bool Matches(const SequenceDatabase& db, std::uint64_t hash) const {
     return db_sequences == db.size() && db_total_items == db.TotalItems() &&
            max_item == db.max_item() && db_content_hash == hash;
-  }
-
-  /// Largest item occurring in the ⟨lambda⟩-partition (the back of its
-  /// alphabet); `max_item` when the partition is empty or lambda is out of
-  /// range, so callers can use it unconditionally as a sizing bound.
-  Item PartitionMaxItem(Item lambda) const {
-    if (lambda >= alphabet_of.size() || alphabet_of[lambda].empty()) {
-      return max_item;
-    }
-    return alphabet_of[lambda].back();
   }
 
   /// Approximate resident size (elements + vector headers), reported as the

@@ -7,11 +7,18 @@
 #include "disc/order/compare.h"
 
 namespace disc {
+namespace {
+
+bool SlotLess(const KSortedDatabase::Slot& a, const KSortedDatabase::Slot& b) {
+  return CompareRankKeys(a.key, b.key) < 0;
+}
+
+}  // namespace
 
 KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
                                  const std::vector<Sequence>* sorted_list,
-                                 std::uint32_t k)
-    : sorted_list_(sorted_list), k_(k) {
+                                 std::uint32_t k, bool locative)
+    : sorted_list_(sorted_list), k_(k), locative_(locative) {
   DISC_CHECK(sorted_list_ != nullptr);
   DISC_CHECK(k_ >= 1);
   // Rank keys order like their sequences only over a strictly ascending
@@ -23,6 +30,7 @@ KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
   entries_.reserve(members.size());
   index_ptrs_.reserve(members.size());
   scan_states_.reserve(members.size());
+  run_.reserve(members.size());
   for (const PartitionMember& m : members) {
     const SequenceIndex* index = m.index;
     if (index == nullptr) {
@@ -38,18 +46,56 @@ KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
     entries_.push_back(KSortedEntry{m.seq, m.cid});
     index_ptrs_.push_back(index);
     scan_states_.push_back(std::move(state));
-    tree_.Insert(r.key, handle);
+    run_.push_back(Slot{r.key, handle});
+  }
+  std::sort(run_.begin(), run_.end(), SlotLess);
+}
+
+void KSortedDatabase::PopMinBucket(std::vector<std::uint32_t>* handles) {
+  DISC_DCHECK(head_ < run_.size());
+  const RankKey min = run_[head_].key;
+  do {
+    handles->push_back(run_[head_++].handle);
+  } while (head_ < run_.size() && run_[head_].key == min);
+}
+
+void KSortedDatabase::PopAllLess(const RankKey& bound,
+                                 std::vector<std::uint32_t>* handles) {
+  while (head_ < run_.size() && CompareRankKeys(run_[head_].key, bound) < 0) {
+    handles->push_back(run_[head_++].handle);
   }
 }
 
-bool KSortedDatabase::AdvanceAndReinsert(std::uint32_t handle,
-                                         const CkmsBound& bound) {
-  const KmsResult r =
-      AprioriCkms(entries_[handle].seq, *sorted_list_, bound,
-                  index_ptrs_[handle], &scan_states_[handle]);
-  if (!r.found) return false;
-  tree_.Insert(r.key, handle);
-  return true;
+void KSortedDatabase::Advance(const std::vector<std::uint32_t>& handles,
+                              const CkmsBound& bound) {
+  DISC_DCHECK(handles.size() <= head_);
+  batch_.clear();
+  for (const std::uint32_t h : handles) {
+    const KmsResult r = AprioriCkms(entries_[h].seq, *sorted_list_, bound,
+                                    index_ptrs_[h], &scan_states_[h]);
+    if (r.found) batch_.push_back(Slot{r.key, h});
+  }
+  if (batch_.empty()) return;
+  // The survivors go back into the freed slots just below the head.
+  Slot* const run = run_.data();
+  const std::size_t end = run_.size();
+  std::size_t write = head_ - batch_.size();
+  std::size_t read = head_;
+  head_ = write;
+  if (!locative_) {
+    std::copy(batch_.begin(), batch_.end(), run + write);
+    std::sort(run + head_, run + end, SlotLess);
+    return;
+  }
+  // Merge forward. The write cursor trails the read cursor by exactly the
+  // number of survivors not yet merged, so it never overwrites an unread
+  // entry, and once the survivors run out the rest of the run is already
+  // in place.
+  std::sort(batch_.begin(), batch_.end(), SlotLess);
+  for (const Slot& s : batch_) {
+    while (read < end && SlotLess(run[read], s)) run[write++] = run[read++];
+    run[write++] = s;
+  }
 }
 
 }  // namespace disc

@@ -1,21 +1,28 @@
 // The k-sorted database (paper §1.2 / §3.2): customer sequences keyed by
-// their current (conditional) k-minimum subsequence, ordered by the
-// comparative order and indexed by a locative AVL tree.
+// their current (conditional) k-minimum subsequence, in comparative order.
 //
-// Keys are rank keys over the (k-1)-sorted list (core/rank_key.h) and live
-// only in the tree nodes (one copy per distinct key). A key's prefix index
-// is the paper's "apriori pointer", so entries need no pointer of their
-// own: conditional re-generation (Apriori-CKMS) resumes at the bound's
-// prefix, which no advanced entry's key lies beyond.
+// Keys are rank keys over the (k-1)-sorted list (core/rank_key.h). A key's
+// prefix index is the paper's "apriori pointer", so entries need no pointer
+// of their own: conditional re-generation (Apriori-CKMS) resumes at the
+// bound's prefix, which no advanced entry's key lies beyond.
+//
+// The paper indexes the database with a locative AVL tree; here it is a
+// flat locative run (DESIGN.md deviation 5). The live entries are the
+// ascending (key, handle) slots run_[head_, end). The DISC loop only pops
+// from the front, keys only grow, and every key a batch advance
+// re-generates lands at or above α_δ. So α₁ and α_δ are array reads, a pop
+// moves the head cursor, and a batch advance sorts its survivors and merges
+// them forward into the slots its own pop freed, touching only the
+// survivors and the live entries below the largest new key.
 #ifndef DISC_CORE_KSORTED_H_
 #define DISC_CORE_KSORTED_H_
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "disc/core/kms.h"
-#include "disc/core/locative_avl.h"
 #include "disc/core/member.h"
 #include "disc/core/rank_key.h"
 #include "disc/seq/sequence.h"
@@ -33,39 +40,56 @@ struct KSortedEntry {
 /// members with no qualifying k-subsequence are dropped immediately.
 class KSortedDatabase {
  public:
+  /// One live entry of the run: its current key and its handle (the index
+  /// into entry()).
+  struct Slot {
+    RankKey key;
+    std::uint32_t handle = 0;
+  };
+
   /// `sorted_list` holds the frequent (k-1)-sequences ascending; for k == 1
   /// pass a single empty sequence. The list is borrowed and must outlive
   /// this object. Every entry keeps a KmsScanState across advances.
+  /// `locative` picks how a batch advance restores the order: merge the
+  /// sorted survivors forward (the default), or std::sort the whole live
+  /// run (the naive strategy, kept as Ablation C). The keys and buckets
+  /// are the same either way.
   KSortedDatabase(const PartitionMembers& members,
-                  const std::vector<Sequence>* sorted_list, std::uint32_t k);
+                  const std::vector<Sequence>* sorted_list, std::uint32_t k,
+                  bool locative = true);
 
   /// Number of customer sequences still present.
-  std::size_t size() const { return tree_.size(); }
+  std::size_t size() const { return run_.size() - head_; }
 
   /// α₁ — the minimum key. Requires size() > 0.
-  RankKey MinKey() const { return tree_.MinKey(); }
+  RankKey MinKey() const { return run_[head_].key; }
 
-  /// α_rank — key at the 1-based rank (α_δ for rank δ).
-  RankKey SelectKey(std::size_t rank) const { return tree_.SelectKey(rank); }
+  /// α_rank — key at the 1-based rank (α_δ for rank δ). Requires
+  /// 1 <= rank <= size().
+  RankKey SelectKey(std::size_t rank) const {
+    return run_[head_ + rank - 1].key;
+  }
+
+  /// The live entries, ascending by key (equal keys in no set order).
+  /// Invalidated by the next pop or advance.
+  std::span<const Slot> live() const {
+    return std::span<const Slot>(run_).subspan(head_);
+  }
 
   /// The sequence a key of this database stands for.
   Sequence KeySequence(const RankKey& key) const {
     return disc::KeySequence(*sorted_list_, key);
   }
 
-  /// Pops the minimum bucket (all entries whose key equals α₁); the handles
-  /// index entries(). The bucket size is the support of α₁ when it is
-  /// frequent.
-  void PopMinBucket(std::vector<std::uint32_t>* handles) {
-    tree_.PopMinBucket(handles);
-  }
+  /// Pops the minimum bucket (all entries whose key equals α₁), appending
+  /// their handles. The bucket size is the support of α₁ when it is
+  /// frequent. Requires size() > 0.
+  void PopMinBucket(std::vector<std::uint32_t>* handles);
 
-  /// Pops every entry with key < bound.
-  void PopAllLess(const RankKey& bound, std::vector<std::uint32_t>* handles) {
-    tree_.PopAllLess(bound, handles);
-  }
+  /// Pops every entry with key < bound, appending their handles.
+  void PopAllLess(const RankKey& bound, std::vector<std::uint32_t>* handles);
 
-  /// Entry access by handle (valid for popped handles until re-advanced).
+  /// Entry access by handle (valid for popped handles until advanced).
   const KSortedEntry& entry(std::uint32_t handle) const {
     return entries_[handle];
   }
@@ -75,11 +99,14 @@ class KSortedDatabase {
     return *index_ptrs_[handle];
   }
 
-  /// Re-generates a popped entry's key as its conditional k-minimum
-  /// subsequence under `bound` and re-inserts it; the entry is dropped when
-  /// no such subsequence exists. The entry's previous key must not exceed
-  /// the bound. Returns true if the entry survived.
-  bool AdvanceAndReinsert(std::uint32_t handle, const CkmsBound& bound);
+  /// Advances the batch `handles` — exactly the handles popped since the
+  /// last advance — past `bound`: re-generates each entry's key as its
+  /// conditional k-minimum subsequence under the bound (Apriori-CKMS) and
+  /// returns the survivors to the run in order, in the slots the pops
+  /// freed. An entry with no such subsequence leaves the database. Every
+  /// popped key must be at most the bound.
+  void Advance(const std::vector<std::uint32_t>& handles,
+               const CkmsBound& bound);
 
   /// The k of this database.
   std::uint32_t k() const { return k_; }
@@ -87,11 +114,14 @@ class KSortedDatabase {
  private:
   const std::vector<Sequence>* sorted_list_;
   std::uint32_t k_;
+  bool locative_;
   std::vector<KSortedEntry> entries_;
   std::vector<const SequenceIndex*> index_ptrs_;  // parallel to entries_
   std::vector<KmsScanState> scan_states_;         // parallel to entries_
   std::deque<SequenceIndex> owned_indexes_;       // for index-less members
-  LocativeAvlTree tree_;
+  std::vector<Slot> run_;    // [0, head_) popped, [head_, end) live
+  std::size_t head_ = 0;
+  std::vector<Slot> batch_;  // an advance's survivors (capacity reused)
 };
 
 }  // namespace disc

@@ -140,8 +140,8 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
 
 void RunDiscLoop(const PartitionMembers& members,
                  std::vector<Sequence> sorted_list, std::uint32_t start_k,
-                 std::uint32_t delta, bool bilevel, Item max_item,
-                 std::uint32_t max_length, PatternSet* out, bool use_avl) {
+                 std::uint32_t delta, bool bilevel, std::uint32_t max_length,
+                 CountingArray* counts, PatternSet* out, bool locative) {
   // Fault-injection hook covering the DISC k-loop, which both miners reach
   // (DISC-all per second-level partition, Dynamic DISC-all wherever it
   // stops partitioning).
@@ -155,9 +155,9 @@ void RunDiscLoop(const PartitionMembers& members,
     opt.k = k;
     opt.delta = delta;
     opt.bilevel = bilevel && (max_length == 0 || k + 1 <= max_length);
-    opt.max_item = max_item;
-    opt.use_avl = use_avl;
-    const DiscoveryResult res = DiscoverFrequentK(members, sorted_list, opt);
+    opt.locative = locative;
+    const DiscoveryResult res =
+        DiscoverFrequentK(members, sorted_list, opt, counts);
     for (const auto& [p, sup] : res.frequent_k) out->Add(p, sup);
     for (const auto& [p, sup] : res.frequent_k1) out->Add(p, sup);
     sorted_list.clear();

@@ -143,7 +143,6 @@ MineResult MineShardRange(Miner& miner, const SequenceDatabase& shard_db,
     if (x < lambda_lo || x > lambda_hi) {
       masked->item_support[x] = 0;
       masked->members_of[x].clear();
-      masked->alphabet_of[x].clear();
     }
   }
   consumer->ProvideFirstLevel(std::move(masked));

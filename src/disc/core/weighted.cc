@@ -5,7 +5,6 @@
 #include "disc/common/check.h"
 #include "disc/core/first_level.h"
 #include "disc/core/kms.h"
-#include "disc/core/locative_avl.h"
 #include "disc/seq/containment.h"
 #include "disc/seq/extension.h"
 #include "disc/seq/index.h"
@@ -13,63 +12,52 @@
 namespace disc {
 namespace {
 
-struct Entry {
-  SequenceView seq;
-  const SequenceIndex* index;
-  double weight;
-};
-
-// One weighted DISC pass: all weighted-frequent k-sequences over `entries`
-// whose (k-1)-prefix is in `sorted_list`.
+// One weighted DISC pass: all weighted-frequent k-sequences over `members`
+// whose (k-1)-prefix is in `list`. A member's cid indexes `weights`.
 std::vector<std::pair<Sequence, double>> DiscoverWeightedK(
-    const std::vector<Entry>& members, const std::vector<Sequence>& list,
-    double min_weight) {
+    const PartitionMembers& members, const std::vector<double>& weights,
+    const std::vector<Sequence>& list, std::uint32_t k, double min_weight) {
   std::vector<std::pair<Sequence, double>> out;
   if (list.empty()) return out;
 
-  std::vector<Entry> entries;
-  std::vector<KmsScanState> states;  // parallel to entries
-  entries.reserve(members.size());
-  states.reserve(members.size());
-  LocativeAvlTree tree;
-  for (const Entry& m : members) {
-    KmsScanState state;
-    const KmsResult r = AprioriKms(m.seq, list, m.index, &state);
-    if (!r.found) continue;
-    entries.push_back(m);
-    states.push_back(std::move(state));
-    tree.Insert(r.key, static_cast<std::uint32_t>(entries.size() - 1),
-                m.weight);
-  }
-
+  KSortedDatabase sd(members, &list, k);
   std::vector<std::uint32_t> handles;
-  while (tree.TotalWeight() >= min_weight) {
-    const RankKey alpha1 = tree.MinKey();
-    const RankKey alpha_delta = tree.SelectKeyByWeight(min_weight);
+  for (;;) {
+    const std::optional<RankKey> alpha_delta =
+        WeightedSelectKey(sd, weights, min_weight);
+    if (!alpha_delta) break;
+    const RankKey alpha1 = sd.MinKey();
     handles.clear();
-    const bool frequent = alpha1 == alpha_delta;
+    const bool frequent = alpha1 == *alpha_delta;
     if (frequent) {
-      tree.PopMinBucket(&handles);
+      sd.PopMinBucket(&handles);
       double weight = 0.0;
-      for (const std::uint32_t h : handles) weight += entries[h].weight;
+      for (const std::uint32_t h : handles) {
+        weight += weights[sd.entry(h).cid];
+      }
       DISC_DCHECK(weight >= min_weight - 1e-6 * (1.0 + min_weight));
-      out.emplace_back(KeySequence(list, alpha1), weight);
+      out.emplace_back(sd.KeySequence(alpha1), weight);
     } else {
-      tree.PopAllLess(alpha_delta, &handles);
+      sd.PopAllLess(*alpha_delta, &handles);
       DISC_CHECK(!handles.empty());
     }
-    const CkmsBound bound{alpha_delta, /*strict=*/frequent};
-    for (const std::uint32_t h : handles) {
-      const Entry& e = entries[h];
-      const KmsResult r =
-          AprioriCkms(e.seq, list, bound, e.index, &states[h]);
-      if (r.found) tree.Insert(r.key, h, e.weight);
-    }
+    sd.Advance(handles, CkmsBound{*alpha_delta, /*strict=*/frequent});
   }
   return out;
 }
 
 }  // namespace
+
+std::optional<RankKey> WeightedSelectKey(const KSortedDatabase& sd,
+                                         const std::vector<double>& weights,
+                                         double min_weight) {
+  double mass = 0.0;
+  for (const KSortedDatabase::Slot& slot : sd.live()) {
+    mass += weights[sd.entry(slot.handle).cid];
+    if (mass >= min_weight) return slot.key;
+  }
+  return std::nullopt;
+}
 
 double WeightedSupport(const SequenceDatabase& db,
                        const std::vector<double>& weights,
@@ -108,14 +96,17 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
     }
   }
 
-  // Zero-weight customers cannot contribute and are skipped outright.
+  // Zero-weight customers cannot contribute and are skipped outright. A
+  // member's cid is its position, which indexes `weights`.
   std::deque<SequenceIndex> indexes;
-  std::vector<Entry> members;
+  PartitionMembers members;
+  std::vector<double> weights;
   for (Cid cid = 0; cid < db.size(); ++cid) {
     if (options.weights[cid] <= 0.0 || db[cid].Empty()) continue;
     indexes.emplace_back(db[cid]);
-    members.push_back(
-        Entry{db[cid], &indexes.back(), options.weights[cid]});
+    members.push_back({db[cid], &indexes.back(),
+                       static_cast<Cid>(members.size())});
+    weights.push_back(options.weights[cid]);
   }
 
   // Weighted DISC for k = 2, 3, ... until the weighted-frequent set dries
@@ -123,7 +114,7 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
   for (std::uint32_t k = 2; !list.empty(); ++k) {
     if (options.max_length != 0 && k > options.max_length) break;
     const auto frequent_k =
-        DiscoverWeightedK(members, list, options.min_weight);
+        DiscoverWeightedK(members, weights, list, k, options.min_weight);
     list.clear();
     for (const auto& [p, w] : frequent_k) {
       out.emplace(p, w);

@@ -7,9 +7,9 @@
 // candidate; the DISC strategy transfers directly because both lemmas only
 // need "the prefix mass of the k-sorted database up to α_δ": replace the
 // δ-th *position* with the smallest key whose cumulative supporter weight
-// reaches Δ (SelectKeyByWeight on the locative AVL tree) and everything
-// else — k-minimum keys, Apriori-KMS/CKMS, conditional re-sorting — is
-// unchanged:
+// reaches Δ (WeightedSelectKey, a walk up the k-sorted database's locative
+// run) and everything else — k-minimum keys, Apriori-KMS/CKMS, the batch
+// advances — is unchanged:
 //
 //   α₁ == α_Δ  ->  α₁'s bucket alone carries weight >= Δ: weighted-frequent
 //                  with exact weight = the bucket's weight sum;
@@ -22,8 +22,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "disc/core/ksorted.h"
+#include "disc/core/rank_key.h"
 #include "disc/order/compare.h"
 #include "disc/seq/database.h"
 
@@ -47,6 +50,15 @@ using WeightedPatternSet = std::map<Sequence, double, SequenceLess>;
 /// Mines all weighted-frequent sequences with the DISC strategy.
 WeightedPatternSet MineWeighted(const SequenceDatabase& db,
                                 const WeightedOptions& options);
+
+/// α_Δ of a weighted pass: the first live key of `sd` whose running
+/// supporter weight from the head reaches `min_weight`, where an entry
+/// weighs weights[entry.cid]. Every key below it has less weight than
+/// that, so it is the smallest key whose prefix weight reaches Δ. Empty
+/// when the whole live run weighs less: the pass ends.
+std::optional<RankKey> WeightedSelectKey(const KSortedDatabase& sd,
+                                         const std::vector<double>& weights,
+                                         double min_weight);
 
 /// Brute-force oracle: the total weight of the pattern's supporters.
 double WeightedSupport(const SequenceDatabase& db,

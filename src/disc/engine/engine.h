@@ -5,8 +5,7 @@
 // serves MineRequests through sessions dispatched on an internal
 // ThreadPool. The point of residency: a minsup sweep over one database —
 // the shape of every experiment in the paper — pays for the item-support
-// scan, the ⟨λ⟩-partition memberships, and the per-partition alphabets
-// exactly once; each subsequent query starts at partition mining
+// scan and the ⟨λ⟩-partition memberships exactly once; each subsequent query starts at partition mining
 // ("disc.cache.hits"). Pattern output is byte-identical with the cache on
 // or off, at any thread count (tests/engine_test.cc).
 //
@@ -153,8 +152,8 @@ class Engine {
     /// own mining parallelism is MineOptions::threads).
     std::uint32_t session_threads = 2;
     /// When false, sessions never consult the QueryCache — the one-shot
-    /// CLI path, where building alphabets for a single query is pure
-    /// overhead. Output is byte-identical either way.
+    /// CLI path, where building first-level state for a single query is
+    /// pure overhead. Output is byte-identical either way.
     bool enable_cache = true;
     /// QueryCache LRU capacity: how many databases keep warm first-level
     /// state at once (>= 1; see query_cache.h).

@@ -73,15 +73,23 @@ void ScanExtensionsWithEnds(SequenceView s, const Sequence& pattern,
   out->i_items.clear();
   out->s_items.clear();
   if (!ends.contained) return;
-  ForEachExtensionWithEnds(
-      s, pattern, ends,
-      [out](Item x, ExtType type) {
-        (type == ExtType::kItemset ? out->i_items : out->s_items)
-            .push_back(x);
-      },
-      index);
+  const std::uint32_t s_from =
+      ends.full_end == kNoTxn ? 0 : ends.full_end + 1;
+  if (index != nullptr) {
+    // The s-set is every item occurring after the embedding's end: the
+    // index rows ending there or later, already ascending and distinct.
+    index->AppendItemsFrom(s_from, &out->s_items);
+  } else {
+    for (std::uint32_t t = s_from; t < s.NumTransactions(); ++t) {
+      out->s_items.insert(out->s_items.end(), s.TxnBegin(t), s.TxnEnd(t));
+    }
+    SortUnique(&out->s_items);
+  }
+  // The i-set holds only items above the last itemset's maximum, in the
+  // few transactions containing that itemset: cheap to sort.
+  ForEachItemsetExtensionWithEnds(
+      s, pattern, ends, [out](Item x) { out->i_items.push_back(x); }, index);
   SortUnique(&out->i_items);
-  SortUnique(&out->s_items);
 }
 
 MinExtension ScanMinExtension(SequenceView s, const Sequence& pattern,

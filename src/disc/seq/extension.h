@@ -112,24 +112,13 @@ struct EmbeddingEnds {
 EmbeddingEnds LeftmostEnds(SequenceView s, const Sequence& pattern,
                            const SequenceIndex* index = nullptr);
 
-/// Streams every valid extension occurrence to `fn(item, type)` WITHOUT
-/// deduplication (an item may be reported several times). The distinct set
-/// of reported pairs equals ScanExtensions' sets; consumers that are
-/// idempotent per item (CountingArray, min-tracking) use this to skip the
-/// sort-unique cost.
+/// The i-extension half of ForEachExtensionWithEnds: streams every valid
+/// i-extension item occurrence to `fn(item)`, repeats included.
 template <typename Fn>
-void ForEachExtensionWithEnds(SequenceView s, const Sequence& pattern,
-                              const EmbeddingEnds& ends, Fn&& fn,
-                              const SequenceIndex* index = nullptr) {
-  if (!ends.contained) return;
-  const std::uint32_t s_from =
-      ends.full_end == kNoTxn ? 0 : ends.full_end + 1;
-  for (std::uint32_t t = s_from; t < s.NumTransactions(); ++t) {
-    for (const Item* p = s.TxnBegin(t); p != s.TxnEnd(t); ++p) {
-      fn(*p, ExtType::kSequence);
-    }
-  }
-  if (pattern.Empty()) return;
+void ForEachItemsetExtensionWithEnds(SequenceView s, const Sequence& pattern,
+                                     const EmbeddingEnds& ends, Fn&& fn,
+                                     const SequenceIndex* index = nullptr) {
+  if (!ends.contained || pattern.Empty()) return;
   const std::uint32_t last_pt = pattern.NumTransactions() - 1;
   const Item* last_begin = pattern.TxnBegin(last_pt);
   const Item* last_end = pattern.TxnEnd(last_pt);
@@ -151,9 +140,30 @@ void ForEachExtensionWithEnds(SequenceView s, const Sequence& pattern,
     for (const Item* p =
              std::upper_bound(s.TxnBegin(t), s.TxnEnd(t), last_max);
          p != s.TxnEnd(t); ++p) {
-      fn(*p, ExtType::kItemset);
+      fn(*p);
     }
   }
+}
+
+/// Streams every valid extension occurrence to `fn(item, type)` WITHOUT
+/// deduplication (an item may be reported several times). The distinct set
+/// of reported pairs equals ScanExtensions' sets; consumers that are
+/// idempotent per item (CountingArray, min-tracking) use this to skip the
+/// sort-unique cost.
+template <typename Fn>
+void ForEachExtensionWithEnds(SequenceView s, const Sequence& pattern,
+                              const EmbeddingEnds& ends, Fn&& fn,
+                              const SequenceIndex* index = nullptr) {
+  if (!ends.contained) return;
+  const std::uint32_t s_from =
+      ends.full_end == kNoTxn ? 0 : ends.full_end + 1;
+  for (std::uint32_t t = s_from; t < s.NumTransactions(); ++t) {
+    for (const Item* p = s.TxnBegin(t); p != s.TxnEnd(t); ++p) {
+      fn(*p, ExtType::kSequence);
+    }
+  }
+  ForEachItemsetExtensionWithEnds(
+      s, pattern, ends, [&fn](Item x) { fn(x, ExtType::kItemset); }, index);
 }
 
 template <typename Fn>

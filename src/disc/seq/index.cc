@@ -113,4 +113,13 @@ Item SequenceIndex::SuffixMinItem(std::uint32_t start) const {
   return suffix_min_[start];
 }
 
+void SequenceIndex::AppendItemsFrom(std::uint32_t start,
+                                    std::vector<Item>* out) const {
+  for (std::size_t r = 0; r < row_items_.size(); ++r) {
+    if (txns_[row_offsets_[r + 1] - 1] >= start) {
+      out->push_back(row_items_[r]);
+    }
+  }
+}
+
 }  // namespace disc

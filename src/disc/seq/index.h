@@ -39,6 +39,11 @@ class SequenceIndex {
   /// Smallest item occurring in transactions >= start; kNoItem if none.
   Item SuffixMinItem(std::uint32_t start) const;
 
+  /// Appends every distinct item occurring in a transaction >= start to
+  /// `out`, ascending: the rows whose last transaction is >= start, read
+  /// off in row order, so no sort is needed.
+  void AppendItemsFrom(std::uint32_t start, std::vector<Item>* out) const;
+
   /// Number of transactions of the indexed sequence.
   std::uint32_t NumTransactions() const { return num_txns_; }
 

@@ -2,14 +2,21 @@
 // and plain) and Dynamic DISC-all, each at one and four threads, must
 // report exactly pseudo-projection PrefixSpan's pattern set, and every
 // support any of them reports must equal its brute-force count
-// (CountSupport). The databases are small, seeded and built to sit on the
-// edges the partition kernel has to get right: a single customer, δ = 1
-// and δ = |DB|, one transaction of over a hundred items, the same items in
-// every transaction, sparse item ids near 10^5, and max_length cuts. Where
-// the database is tiny, completeness is also checked by enumerating every
+// (CountSupport). So must the DISC ablation configs: DISC-all with the
+// re-sorted k-sorted database (Ablation C), and Dynamic DISC-all with no
+// partitioning level and with γ = 0, both of which hand the whole database
+// to one k-sorted database, the largest batches and merges the run sees.
+// The weighted miner at unit weights must report the same supports. The
+// databases are small, seeded and built to sit on the edges the partition
+// kernel has to get right: a single customer, δ = 1 and δ = |DB|, one
+// transaction of over a hundred items, the same items in every
+// transaction, sparse item ids near 10^5, and max_length cuts. Where the
+// database is tiny, completeness is also checked by enumerating every
 // distinct subsequence of every customer.
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +24,9 @@
 
 #include "disc/algo/miner.h"
 #include "disc/common/rng.h"
+#include "disc/core/disc_all.h"
+#include "disc/core/dynamic_disc_all.h"
+#include "disc/core/weighted.h"
 #include "disc/order/compare.h"
 #include "disc/order/kmin_brute.h"
 #include "disc/seq/containment.h"
@@ -25,8 +35,35 @@
 namespace disc {
 namespace {
 
-const char* const kMiners[] = {"disc-all", "disc-all-nobilevel",
-                               "dynamic-disc-all"};
+// A DISC miner under test: a registered name, or an ablation config.
+struct Variant {
+  std::string name;
+  std::function<std::unique_ptr<Miner>()> make;
+};
+
+std::vector<Variant> DiscVariants() {
+  std::vector<Variant> variants;
+  for (const char* name :
+       {"disc-all", "disc-all-nobilevel", "dynamic-disc-all"}) {
+    variants.push_back({name, [name] { return CreateMiner(name); }});
+  }
+  variants.push_back({"disc-all locative=false", [] {
+                        DiscAll::Config config;
+                        config.locative = false;
+                        return std::make_unique<DiscAll>(config);
+                      }});
+  variants.push_back({"dynamic-disc-all fixed_levels=0", [] {
+                        DynamicDiscAll::Config config;
+                        config.fixed_levels = 0;
+                        return std::make_unique<DynamicDiscAll>(config);
+                      }});
+  variants.push_back({"dynamic-disc-all gamma=0", [] {
+                        DynamicDiscAll::Config config;
+                        config.gamma = 0.0;
+                        return std::make_unique<DynamicDiscAll>(config);
+                      }});
+  return variants;
+}
 
 // Every reported pattern has its brute-force support, at least δ, and
 // respects the length cap.
@@ -42,24 +79,45 @@ void ExpectExactSupports(const SequenceDatabase& db, const PatternSet& got,
   }
 }
 
-// Runs the reference and every DISC miner at threads 1 and 4. Returns the
-// reference so callers can add shape-specific checks.
+// The weighted miner at unit weights and Δ = δ must report exactly the
+// reference's patterns, each weighing its support.
+void ExpectUnitWeightsMatch(const SequenceDatabase& db,
+                            const MineOptions& options,
+                            const PatternSet& reference,
+                            const std::string& who) {
+  WeightedOptions weighted;
+  weighted.weights.assign(db.size(), 1.0);
+  weighted.min_weight = options.min_support_count;
+  weighted.max_length = options.max_length;
+  const WeightedPatternSet got = MineWeighted(db, weighted);
+  EXPECT_EQ(got.size(), reference.size()) << who;
+  for (const auto& [pattern, weight] : got) {
+    EXPECT_EQ(weight, reference.SupportOf(pattern))
+        << who << ": " << pattern.ToString();
+  }
+}
+
+// Runs the reference and every DISC variant at threads 1 and 4, then the
+// weighted miner. Returns the reference so callers can add shape-specific
+// checks.
 PatternSet ExpectDiscMinersExact(const SequenceDatabase& db,
                                  MineOptions options,
                                  const std::string& shape) {
   const PatternSet reference = CreateMiner("pseudo")->Mine(db, options);
   ExpectExactSupports(db, reference, options, shape + " pseudo");
-  for (const char* name : kMiners) {
+  const std::string delta =
+      " delta=" + std::to_string(options.min_support_count);
+  for (const Variant& variant : DiscVariants()) {
     for (const std::uint32_t threads : {1u, 4u}) {
       options.threads = threads;
-      const PatternSet got = CreateMiner(name)->Mine(db, options);
-      const std::string who = shape + " " + name + " threads=" +
-                              std::to_string(threads) + " delta=" +
-                              std::to_string(options.min_support_count);
+      const PatternSet got = variant.make()->Mine(db, options);
+      const std::string who = shape + " " + variant.name + " threads=" +
+                              std::to_string(threads) + delta;
       EXPECT_EQ(reference, got) << who << "\n" << reference.Diff(got);
       if (got != reference) ExpectExactSupports(db, got, options, who);
     }
   }
+  ExpectUnitWeightsMatch(db, options, reference, shape + " weighted" + delta);
   return reference;
 }
 

@@ -52,7 +52,8 @@ void ExpectDiscoveryMatchesBrute(const SequenceDatabase& db,
   opt.k = k;
   opt.delta = delta;
   opt.bilevel = false;
-  const DiscoveryResult res = DiscoverFrequentK(Members(db), list, opt);
+  const DiscoveryResult res =
+      DiscoverFrequentK(Members(db), list, opt, nullptr);
   const auto expected = BruteFrequentK(db, list, k, delta);
   ASSERT_EQ(res.frequent_k.size(), expected.size());
   std::size_t i = 0;
@@ -95,7 +96,8 @@ TEST(Discovery, ChainedLevels) {
     DiscoveryOptions opt;
     opt.k = k;
     opt.delta = delta;
-    const DiscoveryResult res = DiscoverFrequentK(Members(db), list, opt);
+    const DiscoveryResult res =
+        DiscoverFrequentK(Members(db), list, opt, nullptr);
     list.clear();
     for (const auto& [p, sup] : res.frequent_k) {
       (void)sup;
@@ -117,7 +119,8 @@ TEST(Discovery, BilevelMatchesTwoPlainPasses) {
   DiscoveryOptions plain;
   plain.k = 2;
   plain.delta = delta;
-  const DiscoveryResult r2 = DiscoverFrequentK(Members(db), list, plain);
+  const DiscoveryResult r2 =
+      DiscoverFrequentK(Members(db), list, plain, nullptr);
   std::vector<Sequence> list3;
   for (const auto& [p, sup] : r2.frequent_k) {
     (void)sup;
@@ -125,18 +128,20 @@ TEST(Discovery, BilevelMatchesTwoPlainPasses) {
   }
   DiscoveryOptions plain3 = plain;
   plain3.k = 3;
-  const DiscoveryResult r3 = DiscoverFrequentK(Members(db), list3, plain3);
+  const DiscoveryResult r3 =
+      DiscoverFrequentK(Members(db), list3, plain3, nullptr);
 
   DiscoveryOptions bilevel = plain;
   bilevel.bilevel = true;
-  bilevel.max_item = db.max_item();
-  const DiscoveryResult rb = DiscoverFrequentK(Members(db), list, bilevel);
+  CountingArray counts(db.max_item());
+  const DiscoveryResult rb =
+      DiscoverFrequentK(Members(db), list, bilevel, &counts);
   EXPECT_EQ(rb.frequent_k, r2.frequent_k);
   EXPECT_EQ(rb.frequent_k1, r3.frequent_k);
 }
 
 TEST(Discovery, ResortVariantIsIdentical) {
-  // The naive re-sort ablation must match the AVL-indexed loop exactly
+  // The naive re-sort ablation must match the locative run exactly
   // (patterns, supports, bi-level output) across shapes.
   for (std::uint64_t seed = 20; seed < 28; ++seed) {
     const SequenceDatabase db = testutil::RandomDatabase(seed);
@@ -146,15 +151,17 @@ TEST(Discovery, ResortVariantIsIdentical) {
       s.AppendNewItemset(x);
       if (CountSupport(db, s) >= 3) list.push_back(s);
     }
-    DiscoveryOptions avl;
-    avl.k = 2;
-    avl.delta = 3;
-    avl.bilevel = true;
-    avl.max_item = db.max_item();
-    DiscoveryOptions resort = avl;
-    resort.use_avl = false;
-    const DiscoveryResult a = DiscoverFrequentK(Members(db), list, avl);
-    const DiscoveryResult b = DiscoverFrequentK(Members(db), list, resort);
+    DiscoveryOptions locative;
+    locative.k = 2;
+    locative.delta = 3;
+    locative.bilevel = true;
+    DiscoveryOptions resort = locative;
+    resort.locative = false;
+    CountingArray counts(db.max_item());
+    const DiscoveryResult a =
+        DiscoverFrequentK(Members(db), list, locative, &counts);
+    const DiscoveryResult b =
+        DiscoverFrequentK(Members(db), list, resort, &counts);
     EXPECT_EQ(a.frequent_k, b.frequent_k) << "seed " << seed;
     EXPECT_EQ(a.frequent_k1, b.frequent_k1) << "seed " << seed;
   }
@@ -166,10 +173,11 @@ TEST(Discovery, EmptyListOrTooFewMembers) {
   opt.k = 2;
   opt.delta = static_cast<std::uint32_t>(db.size()) + 1;
   std::vector<Sequence> list = {Seq("(a)")};
-  EXPECT_TRUE(DiscoverFrequentK(Members(db), list, opt).frequent_k.empty());
+  EXPECT_TRUE(
+      DiscoverFrequentK(Members(db), list, opt, nullptr).frequent_k.empty());
   opt.delta = 2;
   EXPECT_TRUE(
-      DiscoverFrequentK(Members(db), {}, opt).frequent_k.empty());
+      DiscoverFrequentK(Members(db), {}, opt, nullptr).frequent_k.empty());
 }
 
 TEST(Discovery, IterationCountIsBounded) {
@@ -184,7 +192,8 @@ TEST(Discovery, IterationCountIsBounded) {
   DiscoveryOptions opt;
   opt.k = 2;
   opt.delta = 3;
-  const DiscoveryResult res = DiscoverFrequentK(Members(db), list, opt);
+  const DiscoveryResult res =
+      DiscoverFrequentK(Members(db), list, opt, nullptr);
   EXPECT_GT(res.iterations, 0u);
   // Each iteration either certifies one frequent k-sequence or skips a
   // whole range; it can never exceed #frequent + #members * #keys bound.

@@ -112,6 +112,26 @@ TEST(SequenceIndex, IndexedScansMatchUnindexed) {
     e1.erase(std::unique(e1.begin(), e1.end()), e1.end());
     e2.erase(std::unique(e2.begin(), e2.end()), e2.end());
     EXPECT_EQ(e1, e2) << pattern.ToString() << " in " << s.ToString();
+
+    // The indexed gather reads the s-set off the index rows; the
+    // index-less scan is its oracle. Besides the random pattern: the empty
+    // pattern (every item is an s-extension), and s with its last
+    // transaction cut to one item, whose leftmost embedding ends in the
+    // last transaction (no s-extension, the rest of that transaction as
+    // i-extensions).
+    const std::uint32_t last = s.NumTransactions() - 1;
+    Sequence last_cut = s.Prefix(s.Length() - s.TxnSize(last));
+    last_cut.AppendNewItemset(*s.TxnBegin(last));
+    for (const Sequence& p : {pattern, Sequence(), last_cut}) {
+      const ExtensionSets expected = ScanExtensions(s, p);
+      ExtensionSets got;
+      ScanExtensionsWithEnds(s, p, LeftmostEnds(s, p, &idx), &idx, &got);
+      EXPECT_EQ(got.contained, expected.contained) << p.ToString();
+      EXPECT_EQ(got.s_items, expected.s_items)
+          << p.ToString() << " in " << s.ToString();
+      EXPECT_EQ(got.i_items, expected.i_items)
+          << p.ToString() << " in " << s.ToString();
+    }
   }
 }
 

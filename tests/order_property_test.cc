@@ -158,7 +158,7 @@ TEST_P(OrderProperty, EncodedCompareIsAStrictTotalOrder) {
   // CompareRankKeys itself (spot checks mirroring TotalOrderAxioms), over
   // fuzzed k-sequences encoded by KeyOf against the ascending list of their
   // distinct (k-1)-prefixes; and sorting the keys sorts the sequences, the
-  // order the locative AVL tree and the re-sort ablation keep.
+  // order the k-sorted database's run keeps under both reorder policies.
   Rng rng(GetParam() + 4000);
   for (int trial = 0; trial < 10; ++trial) {
     const std::uint32_t k =

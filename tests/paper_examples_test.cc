@@ -232,9 +232,9 @@ TEST(PaperExamples, Example35DiscoveryWithBilevel) {
   options.k = 4;
   options.delta = 3;
   options.bilevel = true;
-  options.max_item = part.max_item();
+  CountingArray counts(part.max_item());
   const DiscoveryResult res =
-      DiscoverFrequentK(members, Table8SortedList(), options);
+      DiscoverFrequentK(members, Table8SortedList(), options, &counts);
   // The paper's walkthrough only narrates the first iteration; the full
   // pass finds all three frequent 4-sequences (hand-verified supports).
   ASSERT_EQ(res.frequent_k.size(), 3u);

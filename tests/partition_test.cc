@@ -342,8 +342,9 @@ TEST(RunDiscLoop, FindsAllLongPatterns) {
     list.push_back(s);
   }
   PatternSet out;
-  RunDiscLoop(members, list, 2, 4, /*bilevel=*/true, db.max_item(),
-              /*max_length=*/0, &out);
+  CountingArray counts(db.max_item());
+  RunDiscLoop(members, list, 2, 4, /*bilevel=*/true, /*max_length=*/0,
+              &counts, &out);
   // 2^4 - 1 - 4 = 11 patterns of length >= 2.
   EXPECT_EQ(out.size(), 11u);
   EXPECT_EQ(out.SupportOf(Seq("(a)(b)(c)(d)")), 4u);

@@ -7,7 +7,7 @@
 
 #include "disc/algo/miner.h"
 #include "disc/common/rng.h"
-#include "disc/core/locative_avl.h"
+#include "disc/core/ksorted.h"
 #include "disc/order/kmin_brute.h"
 #include "test_util.h"
 
@@ -128,22 +128,34 @@ TEST(WeightedDeathTest, InvalidOptionsAbort) {
   EXPECT_DEATH(MineWeighted(db, options), "min_weight");
 }
 
-TEST(LocativeAvlWeighted, SelectByWeight) {
+TEST(Weighted, SelectKeyByRunningWeight) {
+  // Three members keyed (a), (b), (c) over the empty prefix, weighing 2.0,
+  // 0.5 and 3.0.
+  SequenceDatabase db;
+  db.Add(Seq("(a)"));
+  db.Add(Seq("(b)"));
+  db.Add(Seq("(c)"));
+  const std::vector<double> weights = {2.0, 0.5, 3.0};
   const std::vector<Sequence> list = {Sequence()};
-  LocativeAvlTree tree;
-  tree.Insert(KeyOf(list, Seq("(a)")), 0, 2.0);
-  tree.Insert(KeyOf(list, Seq("(b)")), 1, 0.5);
-  tree.Insert(KeyOf(list, Seq("(c)")), 2, 3.0);
-  EXPECT_DOUBLE_EQ(tree.TotalWeight(), 5.5);
-  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(0.1)).ToString(), "(a)");
-  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(2.0)).ToString(), "(a)");
-  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(2.2)).ToString(), "(b)");
-  EXPECT_EQ(KeySequence(list, tree.SelectKeyByWeight(5.5)).ToString(), "(c)");
-  EXPECT_TRUE(tree.CheckInvariants());
+  PartitionMembers members;
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    members.push_back({db[cid], nullptr, cid});
+  }
+  KSortedDatabase sd(members, &list, 1);
+  auto select = [&](double min_weight) -> std::string {
+    const std::optional<RankKey> key =
+        WeightedSelectKey(sd, weights, min_weight);
+    return key ? KeySequence(list, *key).ToString() : "end";
+  };
+  EXPECT_EQ(select(0.1), "(a)");  // inside the first bucket
+  EXPECT_EQ(select(2.0), "(a)");  // on its boundary
+  EXPECT_EQ(select(2.2), "(b)");  // just past it
+  EXPECT_EQ(select(5.5), "(c)");  // the total
+  EXPECT_EQ(select(5.6), "end");  // above the total: the pass ends
   std::vector<std::uint32_t> handles;
-  tree.PopMinBucket(&handles);
-  EXPECT_DOUBLE_EQ(tree.TotalWeight(), 3.5);
-  EXPECT_TRUE(tree.CheckInvariants());
+  sd.PopMinBucket(&handles);
+  EXPECT_EQ(select(3.5), "(c)");
+  EXPECT_EQ(select(3.6), "end");
 }
 
 }  // namespace

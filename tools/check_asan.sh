@@ -3,9 +3,10 @@
 # -fsanitize=address,undefined (DISC_SANITIZE=address,undefined) and runs
 # the full ctest suite under it, CLI and bench smokes included. Lifetime
 # bugs hide wherever a test reaches: dangling views after arena growth,
-# off-by-one offset arithmetic, scratch reuse after Clear, a node reference
-# held across the locative AVL tree's pool growth, attacker-controlled
-# .dsa bytes, shared_ptr snapshots and socket streambufs in the server.
+# off-by-one offset arithmetic, scratch reuse after Clear, the k-sorted
+# database's in-place merge into the slots below its head,
+# attacker-controlled .dsa bytes, shared_ptr snapshots and socket
+# streambufs in the server.
 # A tiny end-to-end parallel mine through the bench driver then exercises
 # the per-worker scratch state under real partition scheduling.
 #

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# ThreadSanitizer smoke check for the parallel mining engine: builds the
-# suite with -fsanitize=thread (DISC_SANITIZE=thread) and runs the
-# concurrency-sensitive tests (thread pool, parallel determinism, and the
-# obs layer). Any data race fails the run.
+# ThreadSanitizer check: builds the whole tree with -fsanitize=thread
+# (DISC_SANITIZE=thread) and runs the full ctest suite under it, CLI and
+# bench smokes included. Any data race fails the run. The suite's
+# concurrency-heavy cases are the thread pool and partition scheduler,
+# parallel determinism and cancellation, the obs layer's live telemetry,
+# concurrent engine sessions racing the LRU QueryCache and database loads,
+# and the socket serving layer (accept loop vs connection reaper vs
+# admission controller vs drain signal). A tiny end-to-end parallel mine
+# through the bench driver and the socket + chaos smoke follow.
 #
 #   $ tools/check_tsan.sh [build-dir]      # default build-tsan
 set -euo pipefail
@@ -11,27 +16,10 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DDISC_SANITIZE=thread >/dev/null
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-  thread_pool_test scheduler_test parallel_determinism_test obs_test \
-  obs_live_test \
-  failpoint_test engine_test server_protocol_test \
-  admission_test server_transport_test bench_parallel seqmine seqmined
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
-"$BUILD_DIR/tests/thread_pool_test"
-"$BUILD_DIR/tests/scheduler_test"
-"$BUILD_DIR/tests/parallel_determinism_test"
-"$BUILD_DIR/tests/obs_test"
-"$BUILD_DIR/tests/obs_live_test"
-"$BUILD_DIR/tests/failpoint_test"
-# Concurrent sessions racing the LRU QueryCache and database loads, plus
-# the server's reader-thread/main-loop handoff.
-"$BUILD_DIR/tests/engine_test"
-"$BUILD_DIR/tests/server_protocol_test"
-# The socket serving layer: accept loop vs connection reaper vs admission
-# controller vs drain signal, all sharing state across threads.
-"$BUILD_DIR/tests/admission_test"
-"$BUILD_DIR/tests/server_transport_test"
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 # A tiny end-to-end parallel mine through the bench driver.
 "$BUILD_DIR/bench/bench_parallel" --ncust=200 --minsup=0.05 \
   --threads-list=1,4 --json-out=
