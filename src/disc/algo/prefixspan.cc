@@ -40,6 +40,14 @@ class Context {
     s_seen_.assign(n, 0);
   }
 
+  ~Context() {
+    DISC_OBS_ADD(g_support_inc, support_increments_);
+    DISC_OBS_ADD(g_support_inc_k4, support_increments_k4_);
+  }
+
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
+
   PatternSet Run() {
     if (db_.empty() || options_.min_support_count > db_.size()) {
       return std::move(out_);
@@ -51,7 +59,7 @@ class Context {
         if (s_seen_[x] != tag_) {
           s_seen_[x] = tag_;
           if (s_count_[x]++ == 0) touched_s_.push_back(x);
-          DISC_OBS_INC(g_support_inc);
+          CountSupportIncrement();
         }
       }
     }
@@ -265,10 +273,13 @@ class Context {
     CountSupportIncrement();
   }
 
+  // Support increments are tallied per run and published once, when the
+  // context dies: a shared atomic bump per increment would make this
+  // yardstick pay for the instrumentation.
   void CountSupportIncrement() {
-    DISC_OBS_INC(g_support_inc);
 #if DISC_OBS_ENABLED
-    if (counting_length_ >= 4) DISC_OBS_INC(g_support_inc_k4);
+    ++support_increments_;
+    if (counting_length_ >= 4) ++support_increments_k4_;
 #endif
   }
 
@@ -284,6 +295,8 @@ class Context {
   std::uint64_t tag_ = 0;
 #if DISC_OBS_ENABLED
   std::uint32_t counting_length_ = 1;
+  std::uint64_t support_increments_ = 0;
+  std::uint64_t support_increments_k4_ = 0;
 #endif
 };
 

@@ -29,27 +29,19 @@ std::uint32_t CountingArray::Count(Item x, ExtType type) const {
                                    : s_entries_[x].count;
 }
 
-std::vector<std::pair<Item, ExtType>> CountingArray::FrequentExtensions(
-    std::uint32_t delta) const {
+void CountingArray::FrequentExtensions(
+    std::uint32_t delta, std::vector<std::pair<Item, ExtType>>* out) const {
   // Filter, then sort: most touched items are infrequent, so the sort only
-  // orders the survivors.
-  std::vector<Item> items;
+  // orders the survivors. Pairs compare by item, then itemset form first.
+  out->clear();
   for (const Item x : touched_) {
-    if (i_entries_[x].count >= delta || s_entries_[x].count >= delta) {
-      items.push_back(x);
-    }
+    if (i_entries_[x].count >= delta) out->emplace_back(x, ExtType::kItemset);
+    if (s_entries_[x].count >= delta) out->emplace_back(x, ExtType::kSequence);
   }
-  std::sort(items.begin(), items.end());
-  std::vector<std::pair<Item, ExtType>> out;
-  for (const Item x : items) {
-    if (i_entries_[x].count >= delta) out.emplace_back(x, ExtType::kItemset);
-    if (s_entries_[x].count >= delta) out.emplace_back(x, ExtType::kSequence);
-  }
-  return out;
+  std::sort(out->begin(), out->end());
 }
 
 void CountingArray::Reset() {
-  FlushObs();
   for (const Item x : touched_) {
     i_entries_[x] = Entry{};
     s_entries_[x] = Entry{};

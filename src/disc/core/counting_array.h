@@ -32,9 +32,11 @@ class CountingArray {
   /// calls with the same cid are idempotent (the last-CID mechanism).
   ///
   /// Inline, and the probe/increment counters are batched into plain
-  /// members flushed to the registry at Reset()/destruction: this is the
-  /// innermost loop of every bi-level harvest, and three shared atomic
-  /// bumps per probe cost more than the probe itself.
+  /// members flushed to the registry when the array is destroyed: this is
+  /// the innermost loop of every bi-level harvest, and three shared atomic
+  /// bumps per probe cost more than the probe itself. An array therefore
+  /// must die before its run's stats are read (each miner's per-worker
+  /// scratch does).
   void Add(Item x, ExtType type, Cid cid) {
     DISC_DCHECK(static_cast<std::size_t>(x) < i_entries_.size());
 #if DISC_OBS_ENABLED
@@ -56,11 +58,12 @@ class CountingArray {
   /// Support count of extension (x, type).
   std::uint32_t Count(Item x, ExtType type) const;
 
-  /// All extensions with count >= delta, ascending by (item, type) with the
-  /// itemset form first — i.e. in the comparative order of the extended
-  /// patterns.
-  std::vector<std::pair<Item, ExtType>> FrequentExtensions(
-      std::uint32_t delta) const;
+  /// Replaces `*out` with all extensions with count >= delta, ascending by
+  /// (item, type) with the itemset form first — i.e. in the comparative
+  /// order of the extended patterns. A caller that asks repeatedly passes
+  /// the same vector and reuses its capacity.
+  void FrequentExtensions(std::uint32_t delta,
+                          std::vector<std::pair<Item, ExtType>>* out) const;
 
   /// Clears all counts (O(#items touched since the last Reset)).
   void Reset();

@@ -7,6 +7,14 @@
 namespace disc {
 namespace {
 
+using Exts = std::vector<std::pair<Item, ExtType>>;
+
+Exts Frequent(const CountingArray& c, std::uint32_t delta) {
+  Exts out;
+  c.FrequentExtensions(delta, &out);
+  return out;
+}
+
 TEST(CountingArray, CountsPerCustomerOnce) {
   CountingArray c(10);
   c.Add(3, ExtType::kSequence, 0);
@@ -45,7 +53,7 @@ TEST(CountingArray, FrequentExtensionsAscending) {
     c.Add(2, ExtType::kSequence, cid);
   }
   c.Add(9, ExtType::kItemset, 0);
-  const auto freq = c.FrequentExtensions(3);
+  const Exts freq = Frequent(c, 3);
   ASSERT_EQ(freq.size(), 3u);
   EXPECT_EQ(freq[0], std::make_pair(Item{2}, ExtType::kItemset));
   EXPECT_EQ(freq[1], std::make_pair(Item{2}, ExtType::kSequence));
@@ -69,9 +77,9 @@ TEST(CountingArray, FrequentExtensionsAscending) {
     if (x % 7 == 0) want.emplace_back(x, ExtType::kItemset);
     if (x % 5 == 0) want.emplace_back(x, ExtType::kSequence);
   }
-  EXPECT_EQ(d.FrequentExtensions(4), want);
-  EXPECT_TRUE(d.FrequentExtensions(5).empty());
-  EXPECT_EQ(d.FrequentExtensions(1).size(), 1000u);
+  EXPECT_EQ(Frequent(d, 4), want);
+  EXPECT_TRUE(Frequent(d, 5).empty());
+  EXPECT_EQ(Frequent(d, 1).size(), 1000u);
 }
 
 TEST(CountingArray, ResetClearsEverything) {
@@ -81,7 +89,7 @@ TEST(CountingArray, ResetClearsEverything) {
   c.Reset();
   EXPECT_EQ(c.Count(4, ExtType::kSequence), 0u);
   EXPECT_EQ(c.Count(4, ExtType::kItemset), 0u);
-  EXPECT_TRUE(c.FrequentExtensions(1).empty());
+  EXPECT_TRUE(Frequent(c, 1).empty());
   // Reusable after reset; cid 0 counts again.
   c.Add(4, ExtType::kSequence, 0);
   EXPECT_EQ(c.Count(4, ExtType::kSequence), 1u);
