@@ -16,6 +16,15 @@
 // k-sorted database is a flat locative run (core/ksorted.h): α₁ and α_δ
 // are array reads, and each iteration's advanced batch merges back into
 // the slots its pop freed.
+//
+// By Lemma 2.1 a frequent bucket is exactly α₁'s supporters, so the loop
+// also builds the next pass's supporter groups (core/kms.h) as it pops:
+// with bi-level, α₁'s frequent (k+1)-extensions form one group with parent
+// α₁; without, each frequent k-sequence is a group whose parent is its
+// (k-1)-prefix. Every popped member gets the group with its leftmost
+// embedding ends of the parent: with bi-level, the ends the harvest
+// computes by one probe from the member's landed prefix; without, the
+// landed prefix's own ends (DESIGN.md deviation 11).
 #ifndef DISC_CORE_DISCOVERY_H_
 #define DISC_CORE_DISCOVERY_H_
 
@@ -23,6 +32,7 @@
 #include <vector>
 
 #include "disc/core/counting_array.h"
+#include "disc/core/kms.h"
 #include "disc/core/member.h"
 #include "disc/seq/sequence.h"
 #include "disc/seq/types.h"
@@ -52,6 +62,9 @@ struct DiscoveryResult {
   /// Iterations of the DISC loop (instrumentation: how many comparisons of
   /// α₁ with α_δ were made).
   std::uint64_t iterations = 0;
+  /// Supporter groups of the next pass's list (frequent_k1 with bi-level,
+  /// frequent_k without) over the same members.
+  SupporterGroups next_groups;
 };
 
 /// Runs the DISC discovery loop over `members`. `sorted_list` holds the
@@ -59,11 +72,15 @@ struct DiscoveryResult {
 /// k-sequence of the partition extends one of them (anti-monotone
 /// property). `counts` is the caller's counting array, covering every item
 /// of the members; the bi-level harvests reset and reuse it, and it may be
-/// null when options.bilevel is false.
+/// null when options.bilevel is false. `groups`, when given, are the
+/// supporter groups of `sorted_list` over `members` (the previous pass's
+/// next_groups, or SupporterGroups::OneGroup for a first pass); without
+/// them every member's walk tests the whole list.
 DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
                                   const std::vector<Sequence>& sorted_list,
                                   const DiscoveryOptions& options,
-                                  CountingArray* counts);
+                                  CountingArray* counts,
+                                  const SupporterGroups* groups = nullptr);
 
 }  // namespace disc
 

@@ -1,6 +1,7 @@
 #include "disc/core/partition.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "disc/common/check.h"
 #include "disc/common/failpoint.h"
@@ -139,15 +140,20 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
 }
 
 void RunDiscLoop(const PartitionMembers& members,
-                 std::vector<Sequence> sorted_list, std::uint32_t start_k,
-                 std::uint32_t delta, bool bilevel, std::uint32_t max_length,
-                 CountingArray* counts, PatternSet* out, bool locative) {
+                 std::vector<Sequence> sorted_list,
+                 const std::vector<EmbeddingEnds>& prefix_ends,
+                 std::uint32_t start_k, std::uint32_t delta, bool bilevel,
+                 std::uint32_t max_length, CountingArray* counts,
+                 PatternSet* out, bool locative) {
+  DISC_CHECK(prefix_ends.size() == members.size());
   // Fault-injection hook covering the DISC k-loop, which both miners reach
   // (DISC-all per second-level partition, Dynamic DISC-all wherever it
   // stops partitioning).
   if (DISC_FAILPOINT("disc.loop") == failpoint::Action::kError) {
     throw std::runtime_error("failpoint disc.loop");
   }
+  SupporterGroups groups = SupporterGroups::OneGroup(
+      static_cast<std::uint32_t>(sorted_list.size()), prefix_ends);
   std::uint32_t k = start_k;
   while (!sorted_list.empty() && members.size() >= delta &&
          (max_length == 0 || k <= max_length)) {
@@ -156,8 +162,9 @@ void RunDiscLoop(const PartitionMembers& members,
     opt.delta = delta;
     opt.bilevel = bilevel && (max_length == 0 || k + 1 <= max_length);
     opt.locative = locative;
-    const DiscoveryResult res =
-        DiscoverFrequentK(members, sorted_list, opt, counts);
+    DiscoveryResult res =
+        DiscoverFrequentK(members, sorted_list, opt, counts, &groups);
+    groups = std::move(res.next_groups);
     for (const auto& [p, sup] : res.frequent_k) out->Add(p, sup);
     for (const auto& [p, sup] : res.frequent_k1) out->Add(p, sup);
     sorted_list.clear();

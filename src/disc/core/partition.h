@@ -79,15 +79,20 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
 /// bilevel), ... until no frequent (k-1)-sequences remain or fewer than
 /// delta members survive, adding every frequent sequence to `out`.
 /// `sorted_list` holds the frequent (start_k - 1)-sequences of the
-/// partition. `counts` is the caller's counting array, covering every item
-/// of the members: the bi-level harvests reset and reuse it, so one array
-/// per worker serves every pass. `locative` is DiscoveryOptions::locative.
+/// partition: one-item extensions of the partition's prefix, whose
+/// leftmost embedding ends in member i are prefix_ends[i] (every member
+/// contains the prefix). They seed the first pass's supporter group; each
+/// pass hands the next its own (core/discovery.h). `counts` is the
+/// caller's counting array, covering every item of the members: the
+/// bi-level harvests reset and reuse it, so one array per worker serves
+/// every pass. `locative` is DiscoveryOptions::locative.
 /// "disc.iterations" counts the loop's iterations.
 void RunDiscLoop(const PartitionMembers& members,
-                 std::vector<Sequence> sorted_list, std::uint32_t start_k,
-                 std::uint32_t delta, bool bilevel, std::uint32_t max_length,
-                 CountingArray* counts, PatternSet* out,
-                 bool locative = true);
+                 std::vector<Sequence> sorted_list,
+                 const std::vector<EmbeddingEnds>& prefix_ends,
+                 std::uint32_t start_k, std::uint32_t delta, bool bilevel,
+                 std::uint32_t max_length, CountingArray* counts,
+                 PatternSet* out, bool locative = true);
 
 }  // namespace disc
 

@@ -33,6 +33,10 @@ SequenceIndex::SequenceIndex(SequenceView s)
     txns_.push_back(occ[i].second);
   }
   row_offsets_.push_back(static_cast<std::uint32_t>(occ.size()));
+  row_last_txn_.reserve(row_items_.size());
+  for (std::size_t r = 0; r < row_items_.size(); ++r) {
+    row_last_txn_.push_back(txns_[row_offsets_[r + 1] - 1]);
+  }
 
   suffix_min_.assign(num_txns_ + 1, kNoItem);
   for (std::uint32_t t = num_txns_; t-- > 0;) {
@@ -113,13 +117,22 @@ Item SequenceIndex::SuffixMinItem(std::uint32_t start) const {
   return suffix_min_[start];
 }
 
-void SequenceIndex::AppendItemsFrom(std::uint32_t start,
-                                    std::vector<Item>* out) const {
-  for (std::size_t r = 0; r < row_items_.size(); ++r) {
-    if (txns_[row_offsets_[r + 1] - 1] >= start) {
-      out->push_back(row_items_[r]);
-    }
+std::uint32_t SequenceIndex::NextRowFrom(std::uint32_t row, Item min_item,
+                                         std::uint32_t start) const {
+  // No row below the suffix minimum occurs at or after start, so the
+  // cursor may jump there by binary search; past it, rows are skipped one
+  // by one until one occurs late enough.
+  const Item suffix_min = SuffixMinItem(start);
+  if (suffix_min == kNoItem) return NumRows();
+  if (min_item < suffix_min) min_item = suffix_min;
+  if (row < NumRows() && row_items_[row] < min_item) {
+    row = static_cast<std::uint32_t>(
+        std::lower_bound(row_items_.begin() + row, row_items_.end(),
+                         min_item) -
+        row_items_.begin());
   }
+  while (row < NumRows() && row_last_txn_[row] < start) ++row;
+  return row;
 }
 
 }  // namespace disc

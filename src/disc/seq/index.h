@@ -1,11 +1,14 @@
 // Per-sequence occurrence index: for each distinct item, the sorted list of
-// transactions containing it, plus a suffix-minimum item table.
+// transactions containing it (a "row"), plus a suffix-minimum item table.
 //
-// The DISC inner loop re-embeds (k-1)-sequence prefixes into the same
-// customer sequences thousands of times; with this index each embedding
-// step is a handful of binary searches (jump to the next transaction
-// containing an itemset) instead of a linear scan over transactions, and
-// the unconstrained "minimum item in the remaining suffix" query is O(1).
+// The DISC inner loop tests thousands of sorted-list entries against the
+// same customer sequences. With this index, testing whether a parent's
+// one-item extension is contained is one probe (jump to the next
+// transaction containing an item or itemset) instead of a linear scan over
+// transactions, and the unconstrained "minimum item in the remaining
+// suffix" query is O(1). The rows are ascending by item and each knows its
+// last transaction, so the s-extension set after an embedding's end is
+// read in place as a forward-only row cursor (NextRowFrom).
 //
 // An index is immutable and tied to the sequence it was built from; all
 // consumers accept a null index and fall back to direct scans.
@@ -39,10 +42,21 @@ class SequenceIndex {
   /// Smallest item occurring in transactions >= start; kNoItem if none.
   Item SuffixMinItem(std::uint32_t start) const;
 
-  /// Appends every distinct item occurring in a transaction >= start to
-  /// `out`, ascending: the rows whose last transaction is >= start, read
-  /// off in row order, so no sort is needed.
-  void AppendItemsFrom(std::uint32_t start, std::vector<Item>* out) const;
+  /// Number of rows: the distinct items of the sequence, ascending.
+  std::uint32_t NumRows() const {
+    return static_cast<std::uint32_t>(row_items_.size());
+  }
+
+  /// The item of row r < NumRows().
+  Item RowItem(std::uint32_t r) const { return row_items_[r]; }
+
+  /// The first row at or after `row` whose item is >= min_item and occurs
+  /// in a transaction >= start; NumRows() if none. The rows this cursor
+  /// visits for a fixed start and rising min_item are exactly the distinct
+  /// items of transactions >= start, ascending: the s-extension set of an
+  /// embedding ending at start - 1, read in place.
+  std::uint32_t NextRowFrom(std::uint32_t row, Item min_item,
+                            std::uint32_t start) const;
 
   /// Number of transactions of the indexed sequence.
   std::uint32_t NumTransactions() const { return num_txns_; }
@@ -54,6 +68,7 @@ class SequenceIndex {
   std::vector<Item> row_items_;           // sorted distinct items
   std::vector<std::uint32_t> row_offsets_;  // size rows+1
   std::vector<std::uint32_t> txns_;         // sorted within each row
+  std::vector<std::uint32_t> row_last_txn_;  // last transaction per row
   std::vector<Item> suffix_min_;            // size num_txns_+1, [n] = kNoItem
   std::uint32_t num_txns_ = 0;
 };

@@ -113,24 +113,63 @@ TEST(SequenceIndex, IndexedScansMatchUnindexed) {
     e2.erase(std::unique(e2.begin(), e2.end()), e2.end());
     EXPECT_EQ(e1, e2) << pattern.ToString() << " in " << s.ToString();
 
-    // The indexed gather reads the s-set off the index rows; the
-    // index-less scan is its oracle. Besides the random pattern: the empty
-    // pattern (every item is an s-extension), and s with its last
-    // transaction cut to one item, whose leftmost embedding ends in the
-    // last transaction (no s-extension, the rest of that transaction as
-    // i-extensions).
-    const std::uint32_t last = s.NumTransactions() - 1;
-    Sequence last_cut = s.Prefix(s.Length() - s.TxnSize(last));
-    last_cut.AppendNewItemset(*s.TxnBegin(last));
-    for (const Sequence& p : {pattern, Sequence(), last_cut}) {
-      const ExtensionSets expected = ScanExtensions(s, p);
-      ExtensionSets got;
-      ScanExtensionsWithEnds(s, p, LeftmostEnds(s, p, &idx), &idx, &got);
-      EXPECT_EQ(got.contained, expected.contained) << p.ToString();
-      EXPECT_EQ(got.s_items, expected.s_items)
-          << p.ToString() << " in " << s.ToString();
-      EXPECT_EQ(got.i_items, expected.i_items)
-          << p.ToString() << " in " << s.ToString();
+    // The s-set is read in place off the index rows (NextRowFrom); the
+    // index-less scan is its oracle, at every start transaction. s's own
+    // first `start` transactions embed leftmost ending at start - 1 (no
+    // itemset's earliest match can precede its own position), so their
+    // s-set is every item of the transactions from `start` on. Floored
+    // cursors land on the set's lower bound.
+    std::uint32_t head_length = 0;
+    for (std::uint32_t start = 0; start <= s.NumTransactions(); ++start) {
+      if (start > 0) head_length += s.TxnSize(start - 1);
+      const Sequence head = s.Prefix(head_length);
+      const std::vector<Item> expected = ScanExtensions(s, head).s_items;
+      std::vector<Item> got;
+      for (std::uint32_t r = idx.NextRowFrom(0, 1, start); r < idx.NumRows();
+           r = idx.NextRowFrom(r + 1, 1, start)) {
+        got.push_back(idx.RowItem(r));
+      }
+      EXPECT_EQ(got, expected) << "start " << start << " in " << s.ToString();
+      std::uint32_t cursor = 0;
+      for (Item y = 1; y <= 8; ++y) {
+        cursor = idx.NextRowFrom(cursor, y, start);
+        const auto it = std::lower_bound(expected.begin(), expected.end(), y);
+        EXPECT_EQ(cursor < idx.NumRows() ? idx.RowItem(cursor) : kNoItem,
+                  it == expected.end() ? kNoItem : *it)
+            << "floor " << y << " start " << start << " in " << s.ToString();
+      }
+    }
+  }
+}
+
+// Property: a one-item extension's leftmost embedding, probed from its
+// parent's ends (ExtendEnds), is the embedding LeftmostEnds computes from
+// transaction 0, for random parents (the empty one included) and every
+// s- and i-extension item.
+TEST(SequenceIndex, ExtendEndsMatchesLeftmostEnds) {
+  Rng rng(1010);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Sequence s = testutil::RandomSequence(&rng, 6, 5, 3);
+    const SequenceIndex idx(s);
+    Sequence parent = testutil::RandomSequence(&rng, 6, 3, 2);
+    if (trial % 5 == 0) parent = Sequence();
+    const EmbeddingEnds parent_ends = LeftmostEnds(s, parent, &idx);
+    if (!parent_ends.contained) continue;
+    for (Item x = 1; x <= 7; ++x) {
+      for (const ExtType type : {ExtType::kItemset, ExtType::kSequence}) {
+        if (type == ExtType::kItemset &&
+            (parent.Empty() || x <= parent.LastItem())) {
+          continue;
+        }
+        const Sequence child = Extend(parent, x, type);
+        const EmbeddingEnds want = LeftmostEnds(s, child);
+        const EmbeddingEnds got = ExtendEnds(parent_ends, child, idx);
+        EXPECT_EQ(got.contained, want.contained)
+            << child.ToString() << " in " << s.ToString();
+        if (!want.contained) continue;
+        EXPECT_EQ(got.full_end, want.full_end) << child.ToString();
+        EXPECT_EQ(got.prefix_end, want.prefix_end) << child.ToString();
+      }
     }
   }
 }
