@@ -51,6 +51,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "disc/disc.h"
@@ -486,19 +487,28 @@ int main(int argc, char** argv) {
   }
   const double mine_s = mine_timer.Seconds();
 
-  if (flags.GetBool("maximal", false)) {
+  const bool maximal = flags.GetBool("maximal", false);
+  const bool closed = flags.GetBool("closed", false);
+  if (maximal) {
     patterns = disc::MaximalPatterns(patterns);
-  } else if (flags.GetBool("closed", false)) {
+  } else if (closed) {
     patterns = disc::ClosedPatterns(patterns);
   }
 
   if (!quiet) {
-    const disc::PatternSummary summary = disc::Summarize(patterns);
-    std::printf(
-        "%s: %zu patterns (%zu maximal, %zu closed), max length %u, max "
-        "support %u, %.3fs\n",
-        request.algo.c_str(), summary.total, summary.maximal, summary.closed,
-        summary.max_length, summary.max_support, mine_s);
+    // Maximal and closed counts cost time quadratic in the pattern count,
+    // so the line carries them only when --maximal or --closed asked for
+    // that work.
+    const disc::PatternSummary summary =
+        disc::Summarize(patterns, maximal || closed);
+    std::string counts;
+    if (maximal || closed) {
+      counts = " (" + std::to_string(summary.maximal) + " maximal, " +
+               std::to_string(summary.closed) + " closed)";
+    }
+    std::printf("%s: %zu patterns%s, max length %u, max support %u, %.3fs\n",
+                request.algo.c_str(), summary.total, counts.c_str(),
+                summary.max_length, summary.max_support, mine_s);
   }
 
   int exit_code = kExitOk;

@@ -67,11 +67,14 @@ PatternSet ClosedPatterns(const PatternSet& patterns) {
   return out;
 }
 
-PatternSummary Summarize(const PatternSet& patterns) {
+PatternSummary Summarize(const PatternSet& patterns,
+                         bool count_maximal_closed) {
   PatternSummary s;
   s.total = patterns.size();
-  s.maximal = MaximalPatterns(patterns).size();
-  s.closed = ClosedPatterns(patterns).size();
+  if (count_maximal_closed) {
+    s.maximal = MaximalPatterns(patterns).size();
+    s.closed = ClosedPatterns(patterns).size();
+  }
   s.max_length = patterns.MaxLength();
   for (const auto& [p, sup] : patterns) {
     (void)p;

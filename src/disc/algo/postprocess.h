@@ -18,7 +18,9 @@ PatternSet MaximalPatterns(const PatternSet& patterns);
 /// of the *same support*.
 PatternSet ClosedPatterns(const PatternSet& patterns);
 
-/// Summary statistics of a result set.
+/// Summary statistics of a result set. Counting the maximal and closed
+/// patterns is quadratic in the pattern count, so it happens only when
+/// `count_maximal_closed`; otherwise both stay 0.
 struct PatternSummary {
   std::size_t total = 0;
   std::size_t maximal = 0;
@@ -26,7 +28,8 @@ struct PatternSummary {
   std::uint32_t max_length = 0;
   std::uint32_t max_support = 0;
 };
-PatternSummary Summarize(const PatternSet& patterns);
+PatternSummary Summarize(const PatternSet& patterns,
+                         bool count_maximal_closed = true);
 
 }  // namespace disc
 

@@ -112,6 +112,14 @@ TEST(Postprocess, Summary) {
   EXPECT_EQ(s.closed, 2u);   // (a) absorbed by (a)(b) at equal support
   EXPECT_EQ(s.max_length, 2u);
   EXPECT_EQ(s.max_support, 5u);
+
+  // Without the quadratic counts, the rest is the same.
+  const PatternSummary quick = Summarize(all, /*count_maximal_closed=*/false);
+  EXPECT_EQ(quick.total, 3u);
+  EXPECT_EQ(quick.maximal, 0u);
+  EXPECT_EQ(quick.closed, 0u);
+  EXPECT_EQ(quick.max_length, 2u);
+  EXPECT_EQ(quick.max_support, 5u);
 }
 
 TEST(Postprocess, EmptyInput) {
