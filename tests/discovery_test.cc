@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "disc/core/kms.h"
 #include "disc/order/kmin_brute.h"
+#include "disc/seq/extension.h"
 #include "disc/seq/containment.h"
 #include "test_util.h"
 
@@ -164,6 +166,95 @@ TEST(Discovery, ResortVariantIsIdentical) {
         DiscoverFrequentK(Members(db), list, resort, &counts);
     EXPECT_EQ(a.frequent_k, b.frequent_k) << "seed " << seed;
     EXPECT_EQ(a.frequent_k1, b.frequent_k1) << "seed " << seed;
+  }
+}
+
+// Property: a pass's next_groups record its frequent buckets' supporters.
+// The groups tile the next pass's list, each group's entries extend one
+// parent by one item, and a member holds a group — ascending, with the
+// parent's leftmost ends — exactly when it contains the sequence whose
+// bucket made the group: α₁, which is the parent with bi-level and the
+// group's single entry without. A pass seeded with those groups finds what
+// the ungrouped pass finds, and hands on the same groups.
+TEST(Discovery, NextGroupsAreBucketSupporters) {
+  for (std::uint64_t seed = 30; seed < 38; ++seed) {
+    for (const bool bilevel : {false, true}) {
+      const SequenceDatabase db = testutil::RandomDatabase(seed);
+      const PartitionMembers members = Members(db);
+      std::vector<Sequence> list;
+      for (Item x = 1; x <= 8; ++x) {
+        Sequence s;
+        s.AppendNewItemset(x);
+        if (CountSupport(db, s) >= 3) list.push_back(s);
+      }
+      DiscoveryOptions opt;
+      opt.k = 2;
+      opt.delta = 3;
+      opt.bilevel = bilevel;
+      CountingArray counts(db.max_item());
+      const DiscoveryResult res =
+          DiscoverFrequentK(members, list, opt, &counts);
+      const auto& found = bilevel ? res.frequent_k1 : res.frequent_k;
+      std::vector<Sequence> next;
+      for (const auto& [p, sup] : found) next.push_back(p);
+      const SupporterGroups& g = res.next_groups;
+      ASSERT_FALSE(g.begin.empty());
+      EXPECT_EQ(g.begin.front(), 0u);
+      EXPECT_EQ(g.begin.back(), next.size());
+      std::vector<Sequence> parents, makers;
+      for (std::size_t j = 0; j + 1 < g.begin.size(); ++j) {
+        ASSERT_LT(g.begin[j], g.begin[j + 1]) << "empty group " << j;
+        const Sequence& first = next[g.begin[j]];
+        parents.push_back(first.Prefix(first.Length() - 1));
+        for (std::uint32_t e = g.begin[j]; e < g.begin[j + 1]; ++e) {
+          EXPECT_EQ(CompareSequences(next[e].Prefix(next[e].Length() - 1),
+                                     parents.back()),
+                    0)
+              << next[e].ToString();
+        }
+        if (!bilevel) {
+          EXPECT_EQ(g.begin[j + 1] - g.begin[j], 1u);
+        }
+        makers.push_back(bilevel ? parents.back() : first);
+      }
+      ASSERT_EQ(g.offsets.size(), members.size() + 1);
+      for (std::uint32_t m = 0; m < members.size(); ++m) {
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t j = 0; j < makers.size(); ++j) {
+          if (Contains(db[m], makers[j])) want.push_back(j);
+        }
+        std::vector<std::uint32_t> got;
+        for (const SupportedGroup& sg : g.Of(m)) {
+          got.push_back(sg.group);
+          const EmbeddingEnds ends = LeftmostEnds(db[m], parents[sg.group]);
+          EXPECT_EQ(sg.full_end, ends.full_end) << "member " << m;
+          EXPECT_EQ(sg.prefix_end, ends.prefix_end) << "member " << m;
+        }
+        EXPECT_EQ(got, want) << "seed " << seed << " member " << m;
+      }
+      if (next.empty()) continue;
+
+      DiscoveryOptions opt2 = opt;
+      opt2.k = bilevel ? 4 : 3;
+      const DiscoveryResult grouped =
+          DiscoverFrequentK(members, next, opt2, &counts, &g);
+      const DiscoveryResult plain =
+          DiscoverFrequentK(members, next, opt2, &counts);
+      EXPECT_EQ(grouped.frequent_k, plain.frequent_k) << "seed " << seed;
+      EXPECT_EQ(grouped.frequent_k1, plain.frequent_k1) << "seed " << seed;
+      EXPECT_EQ(grouped.iterations, plain.iterations) << "seed " << seed;
+      EXPECT_EQ(grouped.next_groups.begin, plain.next_groups.begin);
+      EXPECT_EQ(grouped.next_groups.offsets, plain.next_groups.offsets);
+      ASSERT_EQ(grouped.next_groups.supported.size(),
+                plain.next_groups.supported.size());
+      for (std::size_t i = 0; i < plain.next_groups.supported.size(); ++i) {
+        const SupportedGroup& a = grouped.next_groups.supported[i];
+        const SupportedGroup& b = plain.next_groups.supported[i];
+        EXPECT_EQ(a.group, b.group);
+        EXPECT_EQ(a.full_end, b.full_end);
+        EXPECT_EQ(a.prefix_end, b.prefix_end);
+      }
+    }
   }
 }
 

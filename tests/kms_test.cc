@@ -186,6 +186,123 @@ TEST_P(KmsProperty, AprioriPointerSpeedupIsTransparent) {
   }
 }
 
+// Cuts `list` (ascending, all (k-1)-sequences) into supporter groups:
+// each run of entries sharing their (k-2)-prefix is split at random points
+// into contiguous groups with that parent. Returns the group bounds and
+// each group's parent.
+std::vector<std::uint32_t> RandomGroups(const std::vector<Sequence>& list,
+                                        Rng* rng,
+                                        std::vector<Sequence>* parents) {
+  std::vector<std::uint32_t> begin;
+  for (std::uint32_t i = 0; i < list.size(); ++i) {
+    const Sequence parent = list[i].Prefix(list[i].Length() - 1);
+    if (i == 0 || CompareSequences(parent, parents->back()) != 0 ||
+        rng->NextBounded(3) == 0) {
+      begin.push_back(i);
+      parents->push_back(parent);
+    }
+  }
+  begin.push_back(static_cast<std::uint32_t>(list.size()));
+  return begin;
+}
+
+// The members' supporter groups by brute force: member m supports every
+// group whose parent it contains, with the parent's leftmost ends.
+SupporterGroups BruteGroups(const std::vector<Sequence>& pool,
+                            std::vector<std::uint32_t> begin,
+                            const std::vector<Sequence>& parents) {
+  SupporterGroups g;
+  g.begin = std::move(begin);
+  g.offsets.push_back(0);
+  for (const Sequence& s : pool) {
+    for (std::uint32_t j = 0; j < parents.size(); ++j) {
+      const EmbeddingEnds ends = LeftmostEnds(s, parents[j]);
+      if (!ends.contained) continue;
+      g.supported.push_back(SupportedGroup{j, ends.full_end, ends.prefix_end});
+    }
+    g.offsets.push_back(static_cast<std::uint32_t>(g.supported.size()));
+  }
+  return g;
+}
+
+TEST_P(KmsProperty, GroupedWalkMatchesBruteForce) {
+  // The grouped walk — entries tested by one probe from their group's
+  // parent ends, answers read off the cursors — against the brute-force
+  // k-minimum, then along a chain of monotone random bounds (strict and
+  // non-strict) against the brute-force conditional k-minimum. k = 2 runs
+  // under the empty parent; longer k reach multi-item last itemsets (the
+  // i-extension probe).
+  Rng rng(GetParam() + 1300);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Sequence> pool;
+    for (int i = 0; i < 8; ++i) {
+      pool.push_back(testutil::RandomSequence(&rng, 5, 4, 3));
+    }
+    for (std::uint32_t k = 2; k <= 4; ++k) {
+      const std::vector<Sequence> list = FrequentList(pool, k - 1, 2);
+      if (list.empty()) continue;
+      std::vector<Sequence> parents;
+      std::vector<std::uint32_t> begin = RandomGroups(list, &rng, &parents);
+      const SupporterGroups groups = BruteGroups(pool, begin, parents);
+      // Candidate bounds: every k-subsequence of the pool whose prefix is
+      // in the list, ascending.
+      std::vector<Sequence> bounds;
+      for (const Sequence& other : pool) {
+        for (const Sequence& b : AllDistinctKSubsequences(other, k)) {
+          if (std::binary_search(list.begin(), list.end(), b.Prefix(k - 1),
+                                 SequenceLess())) {
+            bounds.push_back(b);
+          }
+        }
+      }
+      std::sort(bounds.begin(), bounds.end(), SequenceLess());
+      for (std::uint32_t m = 0; m < pool.size(); ++m) {
+        const Sequence& s = pool[m];
+        const SequenceIndex index(s);
+        const KmsWalk walk{s, &index, &list, &groups, m};
+        KmsScanState state;
+        KmsTally tally;
+        KmsResult got = AprioriKms(walk, &state, &tally);
+        const auto expected = BruteKMinWithFrequentPrefix(s, k, list);
+        ASSERT_EQ(got.found, expected.has_value()) << s.ToString();
+        if (got.found) {
+          EXPECT_EQ(CompareSequences(KeySequence(list, got.key), *expected),
+                    0)
+              << s.ToString();
+        }
+        while (got.found) {
+          // The next bound: the key itself (strict or not) or a random
+          // candidate above it — monotone, as in the DISC loop.
+          const Sequence key = KeySequence(list, got.key);
+          const auto above = std::upper_bound(bounds.begin(), bounds.end(),
+                                              key, SequenceLess());
+          const std::size_t later =
+              static_cast<std::size_t>(bounds.end() - above);
+          const bool at_key = later == 0 || rng.NextBounded(2) == 0;
+          const Sequence bound =
+              at_key ? key : *(above + rng.NextBounded(later));
+          // A non-strict bound at the key returns the key again; only a
+          // strict one moves the chain along.
+          const bool strict = at_key || rng.NextBounded(2) == 0;
+          got = AprioriCkms(walk, {KeyOf(list, bound), strict}, &state,
+                            &tally);
+          const auto want = BruteConditionalKMin(s, k, list, bound, strict);
+          ASSERT_EQ(got.found, want.has_value())
+              << s.ToString() << " bound " << bound.ToString() << " strict "
+              << strict;
+          if (got.found) {
+            EXPECT_EQ(CompareSequences(KeySequence(list, got.key), *want), 0)
+                << "got " << KeySequence(list, got.key).ToString()
+                << " expected " << want->ToString() << " bound "
+                << bound.ToString();
+          }
+        }
+        EXPECT_EQ(tally.embeds, 0u);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KmsProperty, ::testing::Values(11, 22, 33));
 
 }  // namespace
