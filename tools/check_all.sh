@@ -6,9 +6,11 @@
 # event log, exposition), the seqmined line-protocol + socket smoke
 # (cache hits, byte-identical repeats, stop/cancel/drain byte-prefix,
 # load shedding, net.* chaos loop), the storage CLI smoke (.dsa pack/shard
-# round trips, corruption exit codes, pack atomicity — under ASan), then
-# the benchmark regression gate for the .dsa load path. Each check uses its
-# own build directory, so repeat runs are incremental.
+# round trips, corruption exit codes, pack atomicity — under ASan), the
+# benchmark regression gate for the .dsa load path, then the telemetry-cost
+# check (instrumented vs DISC_ENABLE_OBS=OFF CPU pairs for disc-all and
+# pseudo). Each check uses its own build directory, so repeat runs are
+# incremental.
 #
 #   $ tools/check_all.sh
 set -euo pipefail
@@ -22,5 +24,6 @@ cd "$(dirname "$0")"
 ./check_server.sh ../build-asan/examples/seqmined ../build-asan/examples/seqmine
 ./check_storage.sh ../build-asan/examples/seqmine ../build-asan/examples/seqmined
 ./check_perf.sh
+./check_obs_cost.sh
 
 echo "all checks passed"
