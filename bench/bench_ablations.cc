@@ -9,6 +9,21 @@
 //   D. Partition depth — a fixed number of partitioning levels before DISC.
 //   E. Strategy census — every algorithm in the library (incl. GSP, SPADE,
 //      SPAM) on one moderate workload, as a Table 5 companion.
+//
+// Ablations B and D check every Dynamic DISC-all config against
+// pseudo-projection PrefixSpan and fail the run on a difference.
+//
+// --cliffs runs only the named inputs on which a miner once fell off a
+// cliff, so they stay measured rather than rediscovered. Each is mined by
+// disc-all, dynamic-disc-all and pseudo, whose outputs must agree:
+//
+//   cliff  Quest Fig8Params(120) with nitems=60, npats=30, nlits=60 and
+//          seed 42, at δ = 6: 3.4M patterns on 120 long, dense sequences.
+//   x97    the Figure 9 1K Quest draw (seed 42) with every item id
+//          multiplied by 97, at minsup 0.0075: a large, sparse alphabet.
+//
+// The cliff takes 20-30 s per miner, so this mode stays out of ctest.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,12 +38,105 @@
 
 using namespace disc;
 
+namespace {
+
+// FNV-1a over the patterns and supports in order: two results agree iff
+// their digests do (barring collisions), without keeping either alive.
+std::uint64_t Digest(const PatternSet& patterns) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const std::string& bytes) {
+    for (const char c : bytes) {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  };
+  for (const auto& [pattern, support] : patterns) {
+    mix(pattern.ToString());
+    mix(" #SUP: " + std::to_string(support) + "\n");
+  }
+  return h;
+}
+
+// The x97 input: `base` with every item id multiplied by 97. Scaling keeps
+// each transaction sorted.
+SequenceDatabase ScaleItemIds(const SequenceDatabase& base, Item factor) {
+  SequenceDatabase db;
+  db.Reserve(base.TotalItems(), base.TotalTransactions(), base.size());
+  for (Cid cid = 0; cid < base.size(); ++cid) {
+    const SequenceView s = base[cid];
+    db.BeginSequence();
+    for (std::uint32_t t = 0; t < s.NumTransactions(); ++t) {
+      for (const Item* x = s.TxnBegin(t); x != s.TxnEnd(t); ++x) {
+        db.AppendItem(*x * factor);
+      }
+      db.EndTransaction();
+    }
+    db.EndSequence();
+  }
+  return db;
+}
+
+int RunCliffs(const Flags& flags) {
+  ObsSession obs("ablations-cliffs", flags);
+  QuestParams cliff = Fig8Params(120);
+  cliff.nitems = 60;
+  cliff.npats = 30;
+  cliff.nlits = 60;
+  cliff.seed = 42;
+  QuestParams dense = Fig9Params(1000);
+  dense.seed = 42;
+  struct Input {
+    std::string name;
+    SequenceDatabase db;
+    std::uint32_t delta;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"cliff", GenerateQuestDatabase(cliff), 6});
+  inputs.push_back({"x97", ScaleItemIds(GenerateQuestDatabase(dense), 97),
+                    MineOptions::CountForFraction(1000, 0.0075)});
+
+  PrintBanner("Cliff inputs",
+              "disc-all, dynamic-disc-all and pseudo on the inputs that "
+              "once cliffed a miner; outputs must agree",
+              false);
+  TablePrinter table({"input", "delta", "miner", "time (s)", "#patterns"});
+  bool agree = true;
+  for (const Input& input : inputs) {
+    MineOptions options;
+    options.min_support_count = input.delta;
+    std::uint64_t reference = 0;
+    for (const char* name : {"disc-all", "dynamic-disc-all", "pseudo"}) {
+      const auto miner = CreateMiner(name);
+      Timer timer;
+      const PatternSet result = miner->Mine(input.db, options);
+      const double seconds = timer.Seconds();
+      obs.Record(miner->last_stats());
+      const std::uint64_t digest = Digest(result);
+      if (reference == 0) reference = digest;
+      if (digest != reference) {
+        std::fprintf(stderr,
+                     "bench_ablations: %s differs from disc-all on %s\n", name,
+                     input.name.c_str());
+        agree = false;
+      }
+      table.AddRow({input.name, std::to_string(input.delta), name,
+                    TablePrinter::Num(seconds),
+                    std::to_string(result.size())});
+    }
+  }
+  table.Print();
+  return obs.Finish() && agree ? 0 : 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   if (PrintBenchUsage(flags, "bench_ablations",
-                      "[--ncust=N] [--minsup=F] [--seed=N] [--full]")) {
+                      "[--ncust=N] [--minsup=F] [--seed=N] [--full] "
+                      "[--cliffs]")) {
     return 0;
   }
+  if (flags.GetBool("cliffs", false)) return RunCliffs(flags);
   const bool full = flags.GetBool("full", false);
   const std::uint32_t ncust = static_cast<std::uint32_t>(
       flags.GetInt("ncust", full ? 10000 : 2000));
@@ -46,6 +154,15 @@ int main(int argc, char** argv) {
   WorkloadInfo workload = MakeWorkloadInfo(db, "quest:fig9");
   workload.min_support_count = options.min_support_count;
   obs.SetWorkload(workload);
+  // Every Dynamic DISC-all config must mine exactly pseudo's patterns.
+  const PatternSet reference = CreateMiner("pseudo")->Mine(db, options);
+  bool agree = true;
+  const auto check = [&](const PatternSet& result, const std::string& what) {
+    if (result == reference) return;
+    std::fprintf(stderr, "bench_ablations: %s differs from pseudo\n",
+                 what.c_str());
+    agree = false;
+  };
 
   PrintBanner("Ablation A: bi-level vs plain DISC passes",
               DescribeDatabase(db) + ", minsup=" + std::to_string(minsup),
@@ -70,7 +187,7 @@ int main(int argc, char** argv) {
   }
 
   PrintBanner("Ablation B: Dynamic DISC-all gamma sweep",
-              "gamma < NRR switches a partition to DISC; gamma=0 -> pure "
+              "gamma <= NRR switches a partition to DISC; gamma=0 -> pure "
               "DISC after level 0, gamma>1 -> pure pattern growth",
               !full);
   {
@@ -83,6 +200,7 @@ int main(int argc, char** argv) {
       Timer timer;
       const PatternSet result = miner.Mine(db, options);
       obs.Record(miner.last_stats());
+      check(result, "gamma " + TablePrinter::Num(gamma, 2));
       table.AddRow({TablePrinter::Num(gamma, 2),
                     TablePrinter::Num(timer.Seconds()),
                     std::to_string(miner.last_stats().Counter(
@@ -125,6 +243,7 @@ int main(int argc, char** argv) {
       DynamicDiscAll miner(config);
       Timer timer;
       const PatternSet result = miner.Mine(db, options);
+      check(result, "fixed_levels " + std::to_string(levels));
       table.AddRow({std::to_string(levels),
                     TablePrinter::Num(timer.Seconds()),
                     std::to_string(result.size())});
@@ -153,5 +272,5 @@ int main(int argc, char** argv) {
     }
     table.Print();
   }
-  return obs.Finish() ? 0 : 1;
+  return obs.Finish() && agree ? 0 : 1;
 }

@@ -21,6 +21,10 @@
 // thread pool when MineOptions::threads > 1 (per-worker scratch state, see
 // docs/PARALLELISM.md), and the per-partition results merge in ascending-λ
 // order, producing a PatternSet identical to the serial run.
+//
+// DISC-all is the partition recursion of core/partition_recursion.h with a
+// fixed split depth of two levels; Dynamic DISC-all at fixed_levels = 2 does
+// the same work.
 #ifndef DISC_CORE_DISC_ALL_H_
 #define DISC_CORE_DISC_ALL_H_
 

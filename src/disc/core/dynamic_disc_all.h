@@ -19,6 +19,11 @@
 // or largest-first on a thread pool when MineOptions::threads > 1 (see
 // docs/PARALLELISM.md) — and the per-child results merge in comparative
 // order, producing a PatternSet identical to the serial recursion.
+//
+// The recursion is DISC-all's (core/partition_recursion.h) with the NRR
+// split rule: every root child is reduced as in DISC-all's level 1, which
+// the appendix does not do and which changes no output (DESIGN.md
+// deviation 6).
 #ifndef DISC_CORE_DYNAMIC_DISC_ALL_H_
 #define DISC_CORE_DYNAMIC_DISC_ALL_H_
 
@@ -36,8 +41,8 @@ class DynamicDiscAll : public Miner, public FirstLevelConsumer {
   struct Config {
     /// Maximum-NRR threshold γ: partitions with NRR below it are split
     /// further; others switch to DISC. γ <= 0 degenerates to pure DISC
-    /// after level 1; γ > 1 partitions all the way down (pure
-    /// pattern-growth).
+    /// after level 0 (the root does not split); γ > 1 partitions all the
+    /// way down (pure pattern-growth).
     double gamma = 0.5;
     /// Bi-level DISC passes, as in the paper's experiments.
     bool bilevel = true;
@@ -70,7 +75,8 @@ class DynamicDiscAll : public Miner, public FirstLevelConsumer {
   // Work accounting lands in last_stats() via the obs registry: counters
   // "dynamic.partitions_split" (partitions that descended),
   // "dynamic.partitions_to_disc" (partitions that switched to DISC),
-  // "disc.iterations", and the gauge "mine.threads" (resolved worker
+  // "disc.iterations", the partition counters DISC-all publishes
+  // (docs/OBSERVABILITY.md), and the gauge "mine.threads" (resolved worker
   // count).
   PatternSet DoMine(const SequenceDatabase& db,
                     const MineOptions& options) override;

@@ -6,7 +6,6 @@
 #include "disc/common/check.h"
 #include "disc/common/failpoint.h"
 #include "disc/core/discovery.h"
-#include "disc/obs/metrics.h"
 #include "disc/seq/containment.h"
 
 namespace disc {
@@ -43,8 +42,6 @@ bool ChildSlots::Enroll(
   }, index);
   return enrolled;
 }
-
-DISC_OBS_COUNTER(g_reduced, "partition.reduced_sequences");
 
 namespace {
 
@@ -84,7 +81,6 @@ inline bool KeepOccurrence(Item x, Item lambda, bool has_lambda,
 Sequence ReduceCustomerSequence(SequenceView s, Item lambda,
                                 const CountingArray& counts2,
                                 std::uint32_t delta) {
-  DISC_OBS_INC(g_reduced);
   const std::uint32_t min_txn = MinTxnOf(s, lambda);
   DISC_CHECK_MSG(min_txn != kNoTxn, "partition member lacks its λ");
 
@@ -109,7 +105,6 @@ std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
                                          std::uint32_t delta,
                                          std::uint32_t min_length,
                                          SequenceArena* out) {
-  DISC_OBS_INC(g_reduced);
   const std::uint32_t min_txn = MinTxnOf(s, lambda);
   DISC_CHECK_MSG(min_txn != kNoTxn, "partition member lacks its λ");
 
@@ -147,8 +142,7 @@ void RunDiscLoop(const PartitionMembers& members,
                  PatternSet* out, bool locative) {
   DISC_CHECK(prefix_ends.size() == members.size());
   // Fault-injection hook covering the DISC k-loop, which both miners reach
-  // (DISC-all per second-level partition, Dynamic DISC-all wherever it
-  // stops partitioning).
+  // wherever their partition recursion stops splitting.
   if (DISC_FAILPOINT("disc.loop") == failpoint::Action::kError) {
     throw std::runtime_error("failpoint disc.loop");
   }

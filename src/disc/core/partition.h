@@ -1,7 +1,8 @@
-// Shared machinery for the multi-level partitioning scheme (paper §3.1):
-// child-partition enrollment, the customer-sequence reduction rules, and
-// the DISC k-loop that both DISC-all (Figure 2, step 2.1.3.2) and Dynamic
-// DISC-all (Appendix, step 4) run once partitioning stops.
+// The kernels of the partition recursion (paper §3.1,
+// core/partition_recursion.h): child-partition enrollment, the
+// customer-sequence reduction rules, and the DISC k-loop that both DISC-all
+// (Figure 2, step 2.1.3.2) and Dynamic DISC-all (Appendix, step 4) run once
+// partitioning stops.
 #ifndef DISC_CORE_PARTITION_H_
 #define DISC_CORE_PARTITION_H_
 
@@ -58,6 +59,8 @@ class ChildSlots {
 /// <(λ)(x)> / <(λx)> are all non-frequent. λ itself is never dropped.
 /// `counts2` must hold the partition's 2-sequence counting array. The
 /// result may be empty or shorter than 3 items (the caller drops those).
+/// Neither reducer counts its calls: the partition recursion publishes
+/// "partition.reduced_sequences" once per root child.
 Sequence ReduceCustomerSequence(SequenceView s, Item lambda,
                                 const CountingArray& counts2,
                                 std::uint32_t delta);

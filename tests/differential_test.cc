@@ -1,12 +1,16 @@
-// Differential adversarial battery for the DISC miners: DISC-all (bi-level
+// Differential adversarial battery for the miners: DISC-all (bi-level
 // and plain) and Dynamic DISC-all, each at one and four threads, must
 // report exactly pseudo-projection PrefixSpan's pattern set, and every
 // support any of them reports must equal its brute-force count
 // (CountSupport). So must the DISC ablation configs: DISC-all with the
-// re-sorted k-sorted database (Ablation C), and Dynamic DISC-all with no
+// re-sorted k-sorted database (Ablation C); Dynamic DISC-all with no
 // partitioning level and with γ = 0, both of which hand the whole database
-// to one k-sorted database, the largest batches and merges the run sees.
-// The weighted miner at unit weights must report the same supports. The
+// to one k-sorted database, the largest batches and merges the run sees;
+// Dynamic DISC-all with one level, which runs DISC from length 3 on each
+// reduced root child; and with γ = 1.01, which splits reduced members all
+// the way down. The weighted miner at unit weights must report the same
+// supports, and so must the baselines: SPADE and physical-projection
+// PrefixSpan on every shape, GSP and SPAM on the small ones. The
 // databases are small, seeded and built to sit on the edges the partition
 // kernel has to get right: a single customer, δ = 1 and δ = |DB|, one
 // transaction of over a hundred items, the same items in every
@@ -62,8 +66,23 @@ std::vector<Variant> DiscVariants() {
                         config.gamma = 0.0;
                         return std::make_unique<DynamicDiscAll>(config);
                       }});
+  variants.push_back({"dynamic-disc-all fixed_levels=1", [] {
+                        DynamicDiscAll::Config config;
+                        config.fixed_levels = 1;
+                        return std::make_unique<DynamicDiscAll>(config);
+                      }});
+  variants.push_back({"dynamic-disc-all gamma=1.01", [] {
+                        DynamicDiscAll::Config config;
+                        config.gamma = 1.01;
+                        return std::make_unique<DynamicDiscAll>(config);
+                      }});
   return variants;
 }
+
+// Which baselines a shape runs: GSP's candidate generation and SPAM's
+// per-item bitmaps grow with the alphabet and the transaction width, so
+// they run only on the small shapes.
+enum class Baselines { kAll, kScalable };
 
 // Every reported pattern has its brute-force support, at least δ, and
 // respects the length cap.
@@ -98,11 +117,10 @@ void ExpectUnitWeightsMatch(const SequenceDatabase& db,
 }
 
 // Runs the reference and every DISC variant at threads 1 and 4, then the
-// weighted miner. Returns the reference so callers can add shape-specific
-// checks.
-PatternSet ExpectDiscMinersExact(const SequenceDatabase& db,
-                                 MineOptions options,
-                                 const std::string& shape) {
+// weighted miner and the baselines (which ignore threads). Returns the
+// reference so callers can add shape-specific checks.
+PatternSet ExpectMinersExact(const SequenceDatabase& db, MineOptions options,
+                             const std::string& shape, Baselines baselines) {
   const PatternSet reference = CreateMiner("pseudo")->Mine(db, options);
   ExpectExactSupports(db, reference, options, shape + " pseudo");
   const std::string delta =
@@ -118,6 +136,15 @@ PatternSet ExpectDiscMinersExact(const SequenceDatabase& db,
     }
   }
   ExpectUnitWeightsMatch(db, options, reference, shape + " weighted" + delta);
+  options.threads = 1;
+  std::vector<std::string> names = {"spade", "prefixspan"};
+  if (baselines == Baselines::kAll) names.insert(names.end(), {"gsp", "spam"});
+  for (const std::string& name : names) {
+    const PatternSet got = CreateMiner(name)->Mine(db, options);
+    const std::string who = shape + " " + name + delta;
+    EXPECT_EQ(reference, got) << who << "\n" << reference.Diff(got);
+    if (got != reference) ExpectExactSupports(db, got, options, who);
+  }
   return reference;
 }
 
@@ -177,7 +204,8 @@ TEST(Differential, SingleCustomer) {
     MineOptions options;
     options.min_support_count = 1;
     const std::string shape = "single customer seed=" + std::to_string(seed);
-    const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+    const PatternSet reference =
+        ExpectMinersExact(db, options, shape, Baselines::kAll);
     ExpectCompleteByEnumeration(db, options, reference, shape);
   }
 }
@@ -196,7 +224,8 @@ TEST(Differential, DeltaOneAndDeltaAll) {
       MineOptions options;
       options.min_support_count = delta;
       const std::string shape = "random seed=" + std::to_string(seed);
-      const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+      const PatternSet reference =
+          ExpectMinersExact(db, options, shape, Baselines::kAll);
       ExpectCompleteByEnumeration(db, options, reference, shape);
     }
   }
@@ -217,10 +246,10 @@ TEST(Differential, OneTransactionOfOverAHundredItems) {
     // δ = 1 with the cut at 2: every pair inside the long transaction.
     options.min_support_count = 1;
     options.max_length = 2;
-    ExpectDiscMinersExact(db, options, shape);
+    ExpectMinersExact(db, options, shape, Baselines::kScalable);
     options.min_support_count = 2;
     options.max_length = 0;
-    ExpectDiscMinersExact(db, options, shape);
+    ExpectMinersExact(db, options, shape, Baselines::kScalable);
   }
 }
 
@@ -237,7 +266,8 @@ TEST(Differential, SameItemsInEveryTransaction) {
     for (const std::uint32_t delta : {2u, 5u, 9u}) {
       MineOptions options;
       options.min_support_count = delta;
-      const PatternSet reference = ExpectDiscMinersExact(db, options, shape);
+      const PatternSet reference =
+          ExpectMinersExact(db, options, shape, Baselines::kAll);
       ExpectCompleteByEnumeration(db, options, reference, shape);
     }
   }
@@ -257,7 +287,7 @@ TEST(Differential, SparseHugeItemIds) {
     for (const std::uint32_t delta : {2u, 4u}) {
       MineOptions options;
       options.min_support_count = delta;
-      ExpectDiscMinersExact(db, options, shape);
+      ExpectMinersExact(db, options, shape, Baselines::kScalable);
     }
   }
 }
@@ -275,10 +305,10 @@ TEST(Differential, MaxLengthCuts) {
       MineOptions options;
       options.min_support_count = 4;
       options.max_length = max_length;
-      ExpectDiscMinersExact(
-          db, options,
-          "quest seed=" + std::to_string(seed) +
-              " max_length=" + std::to_string(max_length));
+      ExpectMinersExact(db, options,
+                        "quest seed=" + std::to_string(seed) +
+                            " max_length=" + std::to_string(max_length),
+                        Baselines::kScalable);
     }
   }
 }

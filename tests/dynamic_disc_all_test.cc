@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "disc/algo/prefixspan.h"
+#include "disc/core/disc_all.h"
+#include "disc/obs/metrics.h"
 #include "disc/seq/containment.h"
 #include "test_util.h"
 
@@ -21,9 +27,10 @@ TEST(DynamicDiscAll, MatchesPrefixSpanOnPaperExample) {
 }
 
 TEST(DynamicDiscAll, GammaExtremes) {
-  // gamma <= 0: the NRR test always fails, so after the level-0 counting
-  // pass everything goes through DISC. gamma > 1: partition all the way
-  // down (never switch to DISC). Both must be correct.
+  // gamma <= 0: the NRR test always fails, so the root does not split and
+  // one DISC run from length 2 covers the whole database. gamma > 1:
+  // partition all the way down (never switch to DISC). Both must be
+  // correct.
   const SequenceDatabase db = testutil::RandomDatabase(8);
   MineOptions options;
   options.min_support_count = 3;
@@ -61,19 +68,31 @@ TEST(DynamicDiscAll, MidGammaMixesStrategies) {
 }
 
 TEST(DynamicDiscAll, FixedLevelsSweepAgrees) {
-  // Every fixed partitioning depth must produce the same pattern set; only
-  // the strategy mix changes.
-  const SequenceDatabase db = testutil::RandomDatabase(33);
+  // Every split rule must produce the same pattern set; only the strategy
+  // mix changes: no split at the root (fixed_levels 0, gamma 0), DISC from
+  // length 3 on each reduced root child (fixed_levels 1), DISC-all's two
+  // levels, deeper fixed splits, and the NRR rule up to splitting all the
+  // way down.
   MineOptions options;
   options.min_support_count = 3;
-  const PatternSet reference =
-      PrefixSpan(PrefixSpan::Projection::kPseudo).Mine(db, options);
-  for (const std::int32_t levels : {0, 1, 2, 3, 10}) {
-    DynamicDiscAll::Config config;
-    config.fixed_levels = levels;
-    DynamicDiscAll miner(config);
-    EXPECT_EQ(miner.Mine(db, options), reference) << "levels " << levels;
+  for (const std::uint64_t seed : {8u, 21u, 33u, 66u}) {
+    const SequenceDatabase db = testutil::RandomDatabase(seed);
+    const PatternSet reference =
+        PrefixSpan(PrefixSpan::Projection::kPseudo).Mine(db, options);
+    for (const std::int32_t levels : {0, 1, 2, 3, 4, 10}) {
+      DynamicDiscAll::Config config;
+      config.fixed_levels = levels;
+      EXPECT_EQ(DynamicDiscAll(config).Mine(db, options), reference)
+          << "seed " << seed << " levels " << levels;
+    }
+    for (const double gamma : {0.0, 0.25, 0.5, 1.01}) {
+      DynamicDiscAll::Config config;
+      config.gamma = gamma;
+      EXPECT_EQ(DynamicDiscAll(config).Mine(db, options), reference)
+          << "seed " << seed << " gamma " << gamma;
+    }
   }
+  const SequenceDatabase db = testutil::RandomDatabase(33);
   // levels=0 must never split; a large level count must never reach DISC
   // on this shallow data.
   DynamicDiscAll::Config zero;
@@ -86,6 +105,60 @@ TEST(DynamicDiscAll, FixedLevelsSweepAgrees) {
   DynamicDiscAll d(deep);
   d.Mine(db, options);
   EXPECT_EQ(d.last_stats().Counter("dynamic.partitions_to_disc"), 0u);
+}
+
+// The work counters of a run that depend only on what the recursion mines,
+// not on how it is scheduled.
+std::map<std::string, std::uint64_t> WorkCounters(const MineStats& stats) {
+  std::map<std::string, std::uint64_t> work;
+  for (const auto& [name, value] : stats.counters) {
+    if (name == "disc.iterations" || name == "disc.frequent_buckets" ||
+        name == "disc.infrequent_skips" || name.rfind("kms.", 0) == 0 ||
+        name.rfind("counting_array.", 0) == 0 ||
+        name == "partition.reduced_sequences" ||
+        name == "disc.partitions.second_level") {
+      work[name] = value;
+    }
+  }
+  return work;
+}
+
+TEST(DynamicDiscAll, TwoFixedLevelsAreDiscAll) {
+  // Ablation D's claim that two partitioning levels are DISC-all's scheme,
+  // pinned by the work as well as the output: both miners run the same
+  // partition recursion with the same split rule.
+  for (const std::uint64_t seed : {5u, 17u, 29u}) {
+    testutil::RandomDbSpec spec;
+    spec.num_seqs = 60;
+    spec.alphabet = 10;
+    spec.max_txns = 6;
+    const SequenceDatabase db = testutil::RandomDatabase(seed, spec);
+    MineOptions options;
+    options.min_support_count = 4;
+    for (const bool bilevel : {true, false}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        options.threads = threads;
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " bilevel " + std::to_string(bilevel) +
+                                  " threads " + std::to_string(threads);
+        DiscAll::Config disc_config;
+        disc_config.bilevel = bilevel;
+        DiscAll disc(disc_config);
+        DynamicDiscAll::Config dynamic_config;
+        dynamic_config.fixed_levels = 2;
+        dynamic_config.bilevel = bilevel;
+        DynamicDiscAll dynamic(dynamic_config);
+        EXPECT_EQ(disc.Mine(db, options), dynamic.Mine(db, options)) << label;
+        const auto work = WorkCounters(disc.last_stats());
+        EXPECT_EQ(work, WorkCounters(dynamic.last_stats())) << label;
+#if DISC_OBS_ENABLED
+        EXPECT_GT(work.count("disc.iterations"), 0u) << label;
+        EXPECT_GT(work.count("partition.reduced_sequences"), 0u) << label;
+        EXPECT_GT(work.count("disc.partitions.second_level"), 0u) << label;
+#endif
+      }
+    }
+  }
 }
 
 TEST(DynamicDiscAll, SupportsAreExact) {

@@ -219,28 +219,36 @@ void ExpectContainedPrefix(const MineResult& result, const std::string& full,
 
 TEST(Failpoint, DiscReduceThrowIsContained) {
   FailpointGuard guard;
-  // ⟨a⟩-partition has no frequent 2-sequence, so it completes before the
-  // ⟨b⟩-partition reaches the reducer: the serial partial is <(a)>.
+  // Both miners split the root here (Dynamic DISC-all's root NRR is
+  // 16 / (6 * 7) < γ = 0.5). The ⟨a⟩-partition has no frequent
+  // 2-sequence, so it completes before the ⟨b⟩-partition reaches the
+  // reducer: the serial partial is <(a)>.
   const SequenceDatabase db = MakeDatabase({
       "(b)(c)(a)",
       "(c)(a)",
       "(b)(c)(d)",
       "(b)(c)(d)",
       "(b)(d)",
+      "(e)(f)",
+      "(e)(f)",
   });
   MineOptions options;
   options.min_support_count = 2;
-  const std::string full =
-      CreateMiner("disc-all")->Mine(db, options).ToString();
-  ASSERT_TRUE(failpoint::Configure("disc.reduce=throw").ok());
-  for (const std::uint32_t threads : {1u, 2u}) {
-    options.threads = threads;
-    const MineResult result = CreateMiner("disc-all")->TryMine(db, options);
-    ExpectContainedPrefix(result, full, "disc.reduce",
-                          "threads=" + std::to_string(threads));
-    if (threads == 1) {
-      EXPECT_EQ(result.patterns.size(), 1u);
+  for (const char* algo : {"disc-all", "dynamic-disc-all"}) {
+    options.threads = 1;
+    const std::string full = CreateMiner(algo)->Mine(db, options).ToString();
+    ASSERT_TRUE(failpoint::Configure("disc.reduce=throw").ok());
+    for (const std::uint32_t threads : {1u, 2u}) {
+      options.threads = threads;
+      const MineResult result = CreateMiner(algo)->TryMine(db, options);
+      const std::string label =
+          std::string(algo) + " threads=" + std::to_string(threads);
+      ExpectContainedPrefix(result, full, "disc.reduce", label);
+      if (threads == 1) {
+        EXPECT_EQ(result.patterns.size(), 1u) << label;
+      }
     }
+    failpoint::Reset();
   }
 }
 
