@@ -92,12 +92,20 @@ void BM_AprioriKms(benchmark::State& state) {
   std::vector<SequenceIndex> indexes;
   indexes.reserve(db.size());
   for (const SequenceView s : db) indexes.emplace_back(s);
-  std::size_t i = 0;
+  // The 1-sequences extend the empty prefix: one group, in every sequence.
+  const SupporterGroups groups = SupporterGroups::OneGroup(
+      static_cast<std::uint32_t>(list.size()),
+      std::vector<EmbeddingEnds>(db.size(), EmbeddingEnds{true}));
+  KmsTally tally;
+  std::uint32_t i = 0;
   for (auto _ : state) {
-    const std::size_t c = i % db.size();
-    benchmark::DoNotOptimize(AprioriKms(db[c], list, &indexes[c]));
+    const std::uint32_t c = i % static_cast<std::uint32_t>(db.size());
+    KmsScanState scan;
+    benchmark::DoNotOptimize(AprioriKms(
+        KmsWalk{db[c], &indexes[c], &list, &groups, c}, &scan, &tally));
     ++i;
   }
+  tally.Flush();
 }
 BENCHMARK(BM_AprioriKms);
 
@@ -122,9 +130,12 @@ void BM_KSortedDiscPass(benchmark::State& state) {
     for (const PartitionMember& m : members) support += Contains(m.seq, s);
     if (support >= options.delta) list.push_back(std::move(s));
   }
+  const SupporterGroups groups = SupporterGroups::OneGroup(
+      static_cast<std::uint32_t>(list.size()),
+      std::vector<EmbeddingEnds>(members.size(), EmbeddingEnds{true}));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        DiscoverFrequentK(members, list, options, nullptr));
+        DiscoverFrequentK(members, list, options, nullptr, groups));
   }
 }
 BENCHMARK(BM_KSortedDiscPass);

@@ -1,8 +1,9 @@
 // The DISC-all algorithm (paper §3, Figure 2): two-level partitioning plus
 // the DISC strategy.
 //
-//   1. One database scan finds the frequent 1-sequences and splits the
-//      customers into first-level partitions by minimum item.
+//   1. One database scan finds the frequent 1-sequences and the
+//      first-level partitions: the <(λ)>-partition of a frequent λ holds
+//      every customer that contains λ (docs/PARALLELISM.md).
 //   2. Per <(λ)>-partition with λ frequent: a counting array finds the
 //      frequent 2-sequences with prefix λ in one scan; customer sequences
 //      are reduced (non-frequent 1-/2-sequences removed) and split into

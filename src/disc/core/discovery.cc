@@ -35,36 +35,14 @@ void AttributeSupportIncrements(const CountingArray& counts,
 #endif
 }
 
-// Lays out the next pass's member groups as CSR: `supports` holds
-// (member position, group) pairs in pop order, so each member's groups
-// come out ascending.
-void BuildMemberGroups(
-    std::size_t members,
-    const std::vector<std::pair<std::uint32_t, SupportedGroup>>& supports,
-    SupporterGroups* out) {
-  out->offsets.assign(members + 1, 0);
-  for (const auto& [m, g] : supports) ++out->offsets[m + 1];
-  for (std::size_t m = 0; m < members; ++m) {
-    out->offsets[m + 1] += out->offsets[m];
-  }
-  // Fill through offsets[m] as member m's write cursor, which leaves it at
-  // member m+1's start; shifting restores the starts.
-  out->supported.resize(supports.size());
-  for (const auto& [m, g] : supports) out->supported[out->offsets[m]++] = g;
-  for (std::size_t m = members; m > 0; --m) {
-    out->offsets[m] = out->offsets[m - 1];
-  }
-  out->offsets[0] = 0;
-}
-
 }  // namespace
 
 DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
                                   const std::vector<Sequence>& sorted_list,
                                   const DiscoveryOptions& options,
                                   CountingArray* counts,
-                                  const SupporterGroups* groups) {
-  DISC_CHECK(options.k >= 1);
+                                  const SupporterGroups& groups) {
+  DISC_CHECK(options.k >= 2);
   DISC_CHECK(options.delta >= 1);
   DISC_CHECK(!options.bilevel || counts != nullptr);
   DiscoveryResult result;
@@ -73,12 +51,12 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
   // (member position, group) per supporter of each next-pass group.
   std::vector<std::pair<std::uint32_t, SupportedGroup>> supports;
   if (sorted_list.empty()) {
-    BuildMemberGroups(members.size(), supports, &next);
+    next.SetSupporters(members.size(), supports);
     return result;
   }
 
   KSortedDatabase sd(members, &sorted_list, options.k, options.locative,
-                     groups);
+                     &groups);
   std::vector<std::uint32_t> handles;
   std::vector<std::pair<Item, ExtType>> frequent_exts;
   // Loop tally, published once when the pass ends.
@@ -162,7 +140,7 @@ DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
     // entries move to >= α_δ.
     sd.Advance(handles, CkmsBound{alpha_delta, /*strict=*/frequent});
   }
-  BuildMemberGroups(members.size(), supports, &next);
+  next.SetSupporters(members.size(), supports);
   DISC_OBS_ADD(g_iterations, result.iterations);
   DISC_OBS_ADD(g_frequent_buckets, frequent_buckets);
   DISC_OBS_ADD(g_infrequent_skips, result.iterations - frequent_buckets);

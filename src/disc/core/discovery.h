@@ -72,15 +72,15 @@ struct DiscoveryResult {
 /// k-sequence of the partition extends one of them (anti-monotone
 /// property). `counts` is the caller's counting array, covering every item
 /// of the members; the bi-level harvests reset and reuse it, and it may be
-/// null when options.bilevel is false. `groups`, when given, are the
-/// supporter groups of `sorted_list` over `members` (the previous pass's
-/// next_groups, or SupporterGroups::OneGroup for a first pass); without
-/// them every member's walk tests the whole list.
+/// null when options.bilevel is false. `groups` are the supporter groups
+/// of `sorted_list` over `members`: the previous pass's next_groups, or
+/// SupporterGroups::OneGroup for a first pass. Every member carries its
+/// index.
 DiscoveryResult DiscoverFrequentK(const PartitionMembers& members,
                                   const std::vector<Sequence>& sorted_list,
                                   const DiscoveryOptions& options,
                                   CountingArray* counts,
-                                  const SupporterGroups* groups = nullptr);
+                                  const SupporterGroups& groups);
 
 }  // namespace disc
 

@@ -1,7 +1,6 @@
 #include "disc/core/kms.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "disc/common/check.h"
@@ -11,24 +10,17 @@
 namespace disc {
 namespace {
 
-// Tests whether the walk's sequence contains list entry idx and, if so,
-// lands there: the state gathers the entry's extension cursors. With the
-// parent's ends known the test is one index probe; without them the entry
-// is embedded from transaction 0. Every entry the walk lands on gets its
-// cursors, past the bound too: the next advance of a past-bound answer
-// queries the same entry at the bound, and the gather is all a cache miss
-// there would redo.
-bool Land(const KmsWalk& w, std::uint32_t idx, const SupportedGroup* parent,
+// Tests whether the walk's sequence contains list entry idx, an entry of
+// the group `parent`, and if so lands there: the state gathers the entry's
+// extension cursors. The test is one index probe from the parent's ends.
+// Every entry the walk lands on gets its cursors, past the bound too: the
+// next advance of a past-bound answer queries the same entry at the bound,
+// and the gather is all a cache miss there would redo.
+bool Land(const KmsWalk& w, std::uint32_t idx, const SupportedGroup& parent,
           KmsScanState* st, KmsTally* tally) {
   const Sequence& entry = (*w.list)[idx];
-  EmbeddingEnds ends;
-  if (parent != nullptr) {
-    ++tally->embed_itemsets;
-    ends = ExtendEnds(parent->parent_ends(), entry, *w.index);
-  } else {
-    ++tally->embeds;
-    ends = LeftmostEnds(w.s, entry, w.index, &tally->embed_itemsets);
-  }
+  ++tally->embed_itemsets;
+  const EmbeddingEnds ends = ExtendEnds(parent.parent_ends(), entry, *w.index);
   if (!ends.contained) return false;
   st->index = idx;
   st->full_end = ends.full_end;
@@ -95,45 +87,18 @@ KmsResult Walk(const KmsWalk& w, const CkmsBound* bound, KmsScanState* st,
     if (r.found) return r;
     from = start + 1;
   }
-  if (w.groups == nullptr) {
-    for (std::uint32_t idx = from; idx < w.list->size(); ++idx) {
-      if (!Land(w, idx, nullptr, st, tally)) continue;
-      const KmsResult r = answer(idx);
-      if (r.found) return r;
-    }
-    return KmsResult{};
-  }
   const std::span<const SupportedGroup> groups = w.groups->Of(w.member);
   for (; st->group_pos < groups.size(); ++st->group_pos) {
     const SupportedGroup& g = groups[st->group_pos];
     const std::uint32_t end = w.groups->begin[g.group + 1];
     for (std::uint32_t idx = std::max(from, w.groups->begin[g.group]);
          idx < end; ++idx) {
-      if (!Land(w, idx, &g, st, tally)) continue;
+      if (!Land(w, idx, g, st, tally)) continue;
       const KmsResult r = answer(idx);
       if (r.found) return r;
     }
   }
   return KmsResult{};
-}
-
-// The ungrouped walk for callers without supporter groups: Apriori-CKMS
-// under `bound`, or Apriori-KMS without one, with a temporary index and
-// state where the caller gave none, publishing the walk's tallies.
-KmsResult Ungrouped(SequenceView s, const std::vector<Sequence>& sorted_list,
-                    const CkmsBound* bound, const SequenceIndex* index,
-                    KmsScanState* state) {
-  std::optional<SequenceIndex> own_index;
-  if (index == nullptr) index = &own_index.emplace(s);
-  KmsScanState own_state;
-  if (state == nullptr) state = &own_state;
-  const KmsWalk walk{s, index, &sorted_list};
-  KmsTally tally;
-  const KmsResult r = bound != nullptr
-                          ? AprioriCkms(walk, *bound, state, &tally)
-                          : AprioriKms(walk, state, &tally);
-  tally.Flush();
-  return r;
 }
 
 }  // namespace
@@ -153,16 +118,28 @@ SupporterGroups SupporterGroups::OneGroup(
   return g;
 }
 
+void SupporterGroups::SetSupporters(
+    std::size_t members,
+    const std::vector<std::pair<std::uint32_t, SupportedGroup>>& supports) {
+  offsets.assign(members + 1, 0);
+  for (const auto& [m, g] : supports) ++offsets[m + 1];
+  for (std::size_t m = 0; m < members; ++m) offsets[m + 1] += offsets[m];
+  // Fill through offsets[m] as member m's write cursor, which leaves it at
+  // member m+1's start; shifting restores the starts.
+  supported.resize(supports.size());
+  for (const auto& [m, g] : supports) supported[offsets[m]++] = g;
+  for (std::size_t m = members; m > 0; --m) offsets[m] = offsets[m - 1];
+  offsets[0] = 0;
+}
+
 void KmsTally::Flush() {
   DISC_OBS_COUNTER(g_initial_scans, "kms.initial_scans");
   DISC_OBS_COUNTER(g_ckms_advances, "kms.ckms_advances");
   DISC_OBS_COUNTER(g_scan_reuses, "kms.scan_reuses");
-  DISC_OBS_COUNTER(g_embeds, "kms.embeds");
   DISC_OBS_COUNTER(g_embed_itemsets, "kms.embed_itemsets");
   DISC_OBS_ADD(g_initial_scans, initial_scans);
   DISC_OBS_ADD(g_ckms_advances, ckms_advances);
   DISC_OBS_ADD(g_scan_reuses, scan_reuses);
-  DISC_OBS_ADD(g_embeds, embeds);
   DISC_OBS_ADD(g_embed_itemsets, embed_itemsets);
   *this = KmsTally{};
 }
@@ -179,19 +156,6 @@ KmsResult AprioriCkms(const KmsWalk& walk, const CkmsBound& bound,
   DISC_DCHECK(bound.key.prefix < walk.list->size());
   ++tally->ckms_advances;
   return Walk(walk, &bound, state, tally);
-}
-
-KmsResult AprioriKms(SequenceView s,
-                     const std::vector<Sequence>& sorted_list,
-                     const SequenceIndex* index, KmsScanState* state) {
-  return Ungrouped(s, sorted_list, nullptr, index, state);
-}
-
-KmsResult AprioriCkms(SequenceView s,
-                      const std::vector<Sequence>& sorted_list,
-                      const CkmsBound& bound, const SequenceIndex* index,
-                      KmsScanState* state) {
-  return Ungrouped(s, sorted_list, &bound, index, state);
 }
 
 }  // namespace disc

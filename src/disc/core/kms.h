@@ -14,9 +14,8 @@
 // buckets hand every member the groups whose parent it contains, with the
 // parent's leftmost embedding ends (SupporterGroups), so an entry is tested
 // by one index probe from those ends (ExtendEnds) and the probe's answer is
-// the entry's own leftmost end. Without groups, the walk is the plain one:
-// the whole list is one group whose parent is unknown, and every tested
-// entry is embedded from transaction 0 (LeftmostEnds).
+// the entry's own leftmost end. A first pass's list is one group under the
+// partition's prefix (SupporterGroups::OneGroup).
 //
 // Once the walk lands on an entry, the entry's extension sets are read
 // through forward-only cursors (KmsScanState): the s-set in place from the
@@ -32,6 +31,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "disc/core/rank_key.h"
@@ -56,15 +56,12 @@ struct KmsResult {
 /// Work tallies of the list walks, kept in plain locals by their owner (the
 /// k-sorted database keeps one per pass) and published once by Flush() to
 /// the "kms.*" counters of the same names: Apriori-KMS scans, Apriori-CKMS
-/// advances, answers read from the scan state's cursors at the bound,
-/// list entries embedded from transaction 0 (LeftmostEnds), and the index
-/// probes made to test list entries (embedding steps and one-probe child
-/// tests).
+/// advances, answers read from the scan state's cursors at the bound, and
+/// the index probes made to test list entries (one per tested entry).
 struct KmsTally {
   std::uint64_t initial_scans = 0;
   std::uint64_t ckms_advances = 0;
   std::uint64_t scan_reuses = 0;
-  std::uint64_t embeds = 0;
   std::uint64_t embed_itemsets = 0;
 
   /// Adds the tallies to the registry counters and zeroes them.
@@ -105,6 +102,13 @@ struct SupporterGroups {
   /// parent_ends[m]. Every member contains the parent.
   static SupporterGroups OneGroup(std::uint32_t list_size,
                                   const std::vector<EmbeddingEnds>& parent_ends);
+
+  /// Lays out the groups of `members` members as CSR from `supports`, the
+  /// (member position, group) pairs in ascending group order, so each
+  /// member's groups come out ascending. `begin` is left as it is.
+  void SetSupporters(
+      std::size_t members,
+      const std::vector<std::pair<std::uint32_t, SupportedGroup>>& supports);
 };
 
 /// Per-customer-sequence walk state, tied to one sorted list: where the
@@ -140,9 +144,7 @@ struct KmsWalk {
   SequenceView s;
   const SequenceIndex* index = nullptr;  ///< built from s; required
   const std::vector<Sequence>* list = nullptr;  ///< ascending
-  /// The pass's supporter groups, or null for the ungrouped walk (one
-  /// group spanning the list, parent ends unknown).
-  const SupporterGroups* groups = nullptr;
+  const SupporterGroups* groups = nullptr;  ///< the list's; required
   std::uint32_t member = 0;  ///< the member's position in `groups`
 };
 
@@ -162,26 +164,12 @@ KmsResult AprioriKms(const KmsWalk& walk, KmsScanState* state,
 /// qualifying k-subsequence that compares > bound (strict) or >= bound.
 /// Figure 6. Steps 4-7 walk the apriori pointer up to the first list entry
 /// at or above the bound's prefix; with rank keys that entry is
-/// bound.key.prefix itself, so the scan starts there. `state` must come
-/// from this walk's earlier calls, and the bound must be at least the key
-/// they last returned: every entry the DISC loop advances holds a key at
-/// most the bound.
+/// bound.key.prefix itself, so the scan starts there. `state` must be
+/// fresh or come from this walk's earlier calls, and then the bound must be
+/// at least the key they last returned: every entry the DISC loop advances
+/// holds a key at most the bound.
 KmsResult AprioriCkms(const KmsWalk& walk, const CkmsBound& bound,
                       KmsScanState* state, KmsTally* tally);
-
-/// The ungrouped forms, for callers without supporter groups (tests,
-/// microbenchmarks): `index`, when provided, must be built from s (a
-/// temporary one is built otherwise), `state` carries the cursors across
-/// calls as above, and the walk's tallies are published before returning.
-KmsResult AprioriKms(SequenceView s,
-                     const std::vector<Sequence>& sorted_list,
-                     const SequenceIndex* index = nullptr,
-                     KmsScanState* state = nullptr);
-KmsResult AprioriCkms(SequenceView s,
-                      const std::vector<Sequence>& sorted_list,
-                      const CkmsBound& bound,
-                      const SequenceIndex* index = nullptr,
-                      KmsScanState* state = nullptr);
 
 }  // namespace disc
 

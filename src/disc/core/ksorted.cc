@@ -21,7 +21,8 @@ KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
                                  const SupporterGroups* groups)
     : sorted_list_(sorted_list), groups_(groups), k_(k), locative_(locative) {
   DISC_CHECK(sorted_list_ != nullptr);
-  DISC_CHECK(k_ >= 1);
+  DISC_CHECK(groups_ != nullptr);
+  DISC_CHECK(k_ >= 2);
   // Rank keys order like their sequences only over a strictly ascending
   // list (core/rank_key.h).
   DISC_DCHECK(std::adjacent_find(sorted_list_->begin(), sorted_list_->end(),
@@ -32,26 +33,19 @@ KSortedDatabase::KSortedDatabase(const PartitionMembers& members,
   index_ptrs_.reserve(members.size());
   scan_states_.reserve(members.size());
   run_.reserve(members.size());
-  DISC_CHECK(groups_ == nullptr ||
-             groups_->offsets.size() == members.size() + 1);
+  DISC_CHECK(groups_->offsets.size() == members.size() + 1);
   for (std::uint32_t pos = 0; pos < members.size(); ++pos) {
     // A member with no supporter group contains no list entry.
-    if (groups_ != nullptr && groups_->Of(pos).empty()) continue;
+    if (groups_->Of(pos).empty()) continue;
     const PartitionMember& m = members[pos];
-    const SequenceIndex* index = m.index;
-    if (index == nullptr) {
-      // Index-less member: build and own one (Apriori-KMS below is already
-      // the hottest consumer).
-      owned_indexes_.emplace_back(m.seq);
-      index = &owned_indexes_.back();
-    }
+    DISC_CHECK(m.index != nullptr);
     KmsScanState state;
     const KmsResult r = AprioriKms(
-        KmsWalk{m.seq, index, sorted_list_, groups_, pos}, &state, &tally_);
+        KmsWalk{m.seq, m.index, sorted_list_, groups_, pos}, &state, &tally_);
     if (!r.found) continue;
     const std::uint32_t handle = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back(KSortedEntry{m.seq, m.cid, pos});
-    index_ptrs_.push_back(index);
+    index_ptrs_.push_back(m.index);
     scan_states_.push_back(std::move(state));
     run_.push_back(Slot{r.key, handle});
   }

@@ -1,7 +1,7 @@
 // PartitionMember: a customer sequence enrolled in a partition, together
-// with its (optional) occurrence index. Indexes are built once per
-// partition scope and reused across every k-sorted pass and counting scan
-// over the same sequences.
+// with its occurrence index. Indexes are built once per partition scope and
+// reused across every k-sorted pass and counting scan over the same
+// sequences.
 #ifndef DISC_CORE_MEMBER_H_
 #define DISC_CORE_MEMBER_H_
 
@@ -13,8 +13,8 @@
 
 namespace disc {
 
-/// One partition member. `index`, when non-null, must be built from `seq`;
-/// consumers fall back to direct scans otherwise.
+/// One partition member. `index` must be built from `seq`; the k-sorted
+/// database (core/ksorted.h) requires it.
 struct PartitionMember {
   SequenceView seq;
   const SequenceIndex* index = nullptr;

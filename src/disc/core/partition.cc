@@ -157,7 +157,7 @@ void RunDiscLoop(const PartitionMembers& members,
     opt.bilevel = bilevel && (max_length == 0 || k + 1 <= max_length);
     opt.locative = locative;
     DiscoveryResult res =
-        DiscoverFrequentK(members, sorted_list, opt, counts, &groups);
+        DiscoverFrequentK(members, sorted_list, opt, counts, groups);
     groups = std::move(res.next_groups);
     for (const auto& [p, sup] : res.frequent_k) out->Add(p, sup);
     for (const auto& [p, sup] : res.frequent_k1) out->Add(p, sup);

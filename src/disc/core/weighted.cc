@@ -1,26 +1,33 @@
 #include "disc/core/weighted.h"
 
 #include <deque>
+#include <utility>
 
 #include "disc/common/check.h"
 #include "disc/core/first_level.h"
 #include "disc/core/kms.h"
 #include "disc/seq/containment.h"
-#include "disc/seq/extension.h"
 #include "disc/seq/index.h"
 
 namespace disc {
 namespace {
 
 // One weighted DISC pass: all weighted-frequent k-sequences over `members`
-// whose (k-1)-prefix is in `list`. A member's cid indexes `weights`.
+// whose (k-1)-prefix is in `list`, walking `groups`, the list's supporter
+// groups. A member's cid indexes `weights`. `next` receives the next
+// pass's groups: each frequent k-sequence alone, supported by its bucket,
+// as in a DISC pass without bi-level (core/discovery.h). Every member
+// containing α₁ holds a key at most α₁, the minimum, so the bucket is
+// exactly α₁'s supporters whatever the weights.
 std::vector<std::pair<Sequence, double>> DiscoverWeightedK(
     const PartitionMembers& members, const std::vector<double>& weights,
-    const std::vector<Sequence>& list, std::uint32_t k, double min_weight) {
+    const std::vector<Sequence>& list, const SupporterGroups& groups,
+    std::uint32_t k, double min_weight, SupporterGroups* next) {
   std::vector<std::pair<Sequence, double>> out;
-  if (list.empty()) return out;
-
-  KSortedDatabase sd(members, &list, k);
+  next->begin.assign(1, 0);
+  // (member position, group) per supporter of each next-pass group.
+  std::vector<std::pair<std::uint32_t, SupportedGroup>> supports;
+  KSortedDatabase sd(members, &list, k, /*locative=*/true, &groups);
   std::vector<std::uint32_t> handles;
   for (;;) {
     const std::optional<RankKey> alpha_delta =
@@ -31,18 +38,25 @@ std::vector<std::pair<Sequence, double>> DiscoverWeightedK(
     const bool frequent = alpha1 == *alpha_delta;
     if (frequent) {
       sd.PopMinBucket(&handles);
+      const std::uint32_t group = static_cast<std::uint32_t>(out.size());
       double weight = 0.0;
       for (const std::uint32_t h : handles) {
-        weight += weights[sd.entry(h).cid];
+        const KSortedEntry& e = sd.entry(h);
+        weight += weights[e.cid];
+        const EmbeddingEnds ends = sd.LandedEnds(h, alpha1);
+        supports.emplace_back(
+            e.member, SupportedGroup{group, ends.full_end, ends.prefix_end});
       }
       DISC_DCHECK(weight >= min_weight - 1e-6 * (1.0 + min_weight));
       out.emplace_back(sd.KeySequence(alpha1), weight);
+      next->begin.push_back(group + 1);
     } else {
       sd.PopAllLess(*alpha_delta, &handles);
       DISC_CHECK(!handles.empty());
     }
     sd.Advance(handles, CkmsBound{*alpha_delta, /*strict=*/frequent});
   }
+  next->SetSupporters(members.size(), supports);
   return out;
 }
 
@@ -110,11 +124,17 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
   }
 
   // Weighted DISC for k = 2, 3, ... until the weighted-frequent set dries
-  // up.
+  // up. The 1-sequences extend the empty prefix, contained everywhere: the
+  // first pass's list is one group under it.
+  SupporterGroups groups = SupporterGroups::OneGroup(
+      static_cast<std::uint32_t>(list.size()),
+      std::vector<EmbeddingEnds>(members.size(), EmbeddingEnds{true}));
   for (std::uint32_t k = 2; !list.empty(); ++k) {
     if (options.max_length != 0 && k > options.max_length) break;
-    const auto frequent_k =
-        DiscoverWeightedK(members, weights, list, k, options.min_weight);
+    SupporterGroups next;
+    const auto frequent_k = DiscoverWeightedK(
+        members, weights, list, groups, k, options.min_weight, &next);
+    groups = std::move(next);
     list.clear();
     for (const auto& [p, w] : frequent_k) {
       out.emplace(p, w);

@@ -8,8 +8,8 @@
 // need "the prefix mass of the k-sorted database up to α_δ": replace the
 // δ-th *position* with the smallest key whose cumulative supporter weight
 // reaches Δ (WeightedSelectKey, a walk up the k-sorted database's locative
-// run) and everything else — k-minimum keys, Apriori-KMS/CKMS, the batch
-// advances — is unchanged:
+// run) and everything else — k-minimum keys, Apriori-KMS/CKMS over
+// supporter groups, the batch advances — is unchanged:
 //
 //   α₁ == α_Δ  ->  α₁'s bucket alone carries weight >= Δ: weighted-frequent
 //                  with exact weight = the bucket's weight sum;

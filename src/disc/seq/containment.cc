@@ -10,30 +10,36 @@ std::uint32_t FindTxnWithItemset(SequenceView s, std::uint32_t start_txn,
   return kNoTxn;
 }
 
-Embedding LeftmostEmbedding(SequenceView s, const Sequence& pattern,
-                            std::vector<std::uint32_t>* matched_txns) {
-  if (matched_txns != nullptr) matched_txns->clear();
-  Embedding result;
+EmbeddingEnds LeftmostEnds(SequenceView s, const Sequence& pattern,
+                           const SequenceIndex* index) {
+  EmbeddingEnds ends;
   if (pattern.Empty()) {
-    result.found = true;
-    result.end_txn = kNoTxn;
-    return result;
+    ends.contained = true;
+    return ends;
   }
   std::uint32_t next = 0;
+  std::uint32_t prev = kNoTxn;
+  std::uint32_t last = kNoTxn;
   for (std::uint32_t pt = 0; pt < pattern.NumTransactions(); ++pt) {
     const std::uint32_t t =
-        FindTxnWithItemset(s, next, pattern.TxnBegin(pt), pattern.TxnEnd(pt));
-    if (t == kNoTxn) return result;  // not contained
-    if (matched_txns != nullptr) matched_txns->push_back(t);
-    result.end_txn = t;
+        index != nullptr
+            ? index->NextTxnWithItemset(next, pattern.TxnBegin(pt),
+                                        pattern.TxnEnd(pt))
+            : FindTxnWithItemset(s, next, pattern.TxnBegin(pt),
+                                 pattern.TxnEnd(pt));
+    if (t == kNoTxn) return ends;  // not contained
+    prev = last;
+    last = t;
     next = t + 1;
   }
-  result.found = true;
-  return result;
+  ends.contained = true;
+  ends.full_end = last;
+  ends.prefix_end = pattern.NumTransactions() == 1 ? kNoTxn : prev;
+  return ends;
 }
 
 bool Contains(SequenceView s, const Sequence& pattern) {
-  return LeftmostEmbedding(s, pattern).found;
+  return LeftmostEnds(s, pattern).contained;
 }
 
 std::uint32_t CountSupport(const SequenceDatabase& db,

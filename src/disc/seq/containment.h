@@ -9,34 +9,31 @@
 #ifndef DISC_SEQ_CONTAINMENT_H_
 #define DISC_SEQ_CONTAINMENT_H_
 
-#include <vector>
+#include <cstdint>
 
 #include "disc/seq/database.h"
+#include "disc/seq/index.h"
 #include "disc/seq/sequence.h"
 #include "disc/seq/view.h"
 
 namespace disc {
-
-/// Result of a leftmost-embedding search.
-struct Embedding {
-  /// True if the pattern is contained in the sequence.
-  bool found = false;
-  /// Transaction (0-based) matching the pattern's last itemset; only valid
-  /// when found. For an empty pattern, found is true and end_txn is kNoTxn
-  /// (the embedding ends "before the first transaction").
-  std::uint32_t end_txn = kNoTxn;
-};
 
 /// Earliest transaction >= start_txn of s whose itemset contains
 /// [begin, end); kNoTxn if none. [begin, end) must be sorted.
 std::uint32_t FindTxnWithItemset(SequenceView s, std::uint32_t start_txn,
                                  const Item* begin, const Item* end);
 
-/// Greedy leftmost embedding of `pattern` into `s`. If `matched_txns` is
-/// non-null it receives the matched transaction index for every itemset of
-/// the pattern (only meaningful when found).
-Embedding LeftmostEmbedding(SequenceView s, const Sequence& pattern,
-                            std::vector<std::uint32_t>* matched_txns = nullptr);
+/// Leftmost-embedding endpoints of a pattern: the shared first step of
+/// every extension scan. For an empty pattern both ends are kNoTxn with
+/// contained == true. `index` (when non-null, built from `s`) turns each
+/// embedding step into binary-search jumps.
+struct EmbeddingEnds {
+  bool contained = false;
+  std::uint32_t full_end = kNoTxn;    ///< end txn of the whole pattern
+  std::uint32_t prefix_end = kNoTxn;  ///< end txn of all itemsets but last
+};
+EmbeddingEnds LeftmostEnds(SequenceView s, const Sequence& pattern,
+                           const SequenceIndex* index = nullptr);
 
 /// True if `pattern` is a subsequence of `s`.
 bool Contains(SequenceView s, const Sequence& pattern);

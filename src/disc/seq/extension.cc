@@ -1,7 +1,6 @@
 #include "disc/seq/extension.h"
 
 #include "disc/common/check.h"
-#include "disc/seq/containment.h"
 
 namespace disc {
 namespace {
@@ -12,35 +11,6 @@ void SortUnique(std::vector<Item>* v) {
 }
 
 }  // namespace
-
-EmbeddingEnds LeftmostEnds(SequenceView s, const Sequence& pattern,
-                           const SequenceIndex* index, std::uint64_t* probes) {
-  EmbeddingEnds ends;
-  if (pattern.Empty()) {
-    ends.contained = true;
-    return ends;
-  }
-  std::uint32_t next = 0;
-  std::uint32_t prev = kNoTxn;
-  std::uint32_t last = kNoTxn;
-  for (std::uint32_t pt = 0; pt < pattern.NumTransactions(); ++pt) {
-    if (probes != nullptr) ++*probes;
-    const std::uint32_t t =
-        index != nullptr
-            ? index->NextTxnWithItemset(next, pattern.TxnBegin(pt),
-                                        pattern.TxnEnd(pt))
-            : FindTxnWithItemset(s, next, pattern.TxnBegin(pt),
-                                 pattern.TxnEnd(pt));
-    if (t == kNoTxn) return ends;  // not contained
-    prev = last;
-    last = t;
-    next = t + 1;
-  }
-  ends.contained = true;
-  ends.full_end = last;
-  ends.prefix_end = pattern.NumTransactions() == 1 ? kNoTxn : prev;
-  return ends;
-}
 
 EmbeddingEnds ExtendEnds(const EmbeddingEnds& parent, const Sequence& child,
                          const SequenceIndex& index) {
@@ -112,25 +82,20 @@ MinExtension MinOfExtensions(Item best_i, Item best_s) {
 
 MinExtension ScanMinExtension(SequenceView s, const Sequence& pattern,
                               const std::pair<Item, ExtType>* floor,
-                              bool strict, const SequenceIndex* index) {
-  const EmbeddingEnds ends = LeftmostEnds(s, pattern, index);
+                              bool strict) {
+  const EmbeddingEnds ends = LeftmostEnds(s, pattern);
   if (!ends.contained) return MinExtension{};
   const ExtensionFloor f = FloorMinItems(floor, strict);
 
   // Minimal s-extension: smallest item >= f.s_min in any transaction
-  // strictly after the pattern's leftmost end. Unconstrained queries come
-  // straight from the index's suffix-minimum table.
+  // strictly after the pattern's leftmost end.
   Item best_s = kNoItem;
   const std::uint32_t s_from =
       ends.full_end == kNoTxn ? 0 : ends.full_end + 1;
-  if (index != nullptr && f.s_min == 1) {
-    best_s = index->SuffixMinItem(s_from);
-  } else {
-    for (std::uint32_t t = s_from; t < s.NumTransactions(); ++t) {
-      const Item* p = std::lower_bound(s.TxnBegin(t), s.TxnEnd(t), f.s_min);
-      if (p != s.TxnEnd(t) && (best_s == kNoItem || *p < best_s)) {
-        best_s = *p;
-      }
+  for (std::uint32_t t = s_from; t < s.NumTransactions(); ++t) {
+    const Item* p = std::lower_bound(s.TxnBegin(t), s.TxnEnd(t), f.s_min);
+    if (p != s.TxnEnd(t) && (best_s == kNoItem || *p < best_s)) {
+      best_s = *p;
     }
   }
 
@@ -141,12 +106,9 @@ MinExtension ScanMinExtension(SequenceView s, const Sequence& pattern,
   if (!pattern.Empty()) {
     const Item last_max = pattern.LastItem();
     const Item lo = std::max<Item>(last_max + 1, f.i_min);
-    ForEachItemsetExtensionWithEnds(
-        s, pattern, ends,
-        [lo, &best_i](Item x) {
-          if (x >= lo && (best_i == kNoItem || x < best_i)) best_i = x;
-        },
-        index);
+    ForEachItemsetExtensionWithEnds(s, pattern, ends, [lo, &best_i](Item x) {
+      if (x >= lo && (best_i == kNoItem || x < best_i)) best_i = x;
+    });
   }
   return MinOfExtensions(best_i, best_s);
 }

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "disc/order/compare.h"
+#include "disc/seq/containment.h"
 #include "disc/seq/index.h"
 #include "disc/seq/sequence.h"
 #include "disc/seq/view.h"
@@ -85,22 +86,7 @@ MinExtension MinOfExtensions(Item best_i, Item best_s);
 /// the tests cross-check. The reference for Apriori-KMS/CKMS's cursors.
 MinExtension ScanMinExtension(SequenceView s, const Sequence& pattern,
                               const std::pair<Item, ExtType>* floor = nullptr,
-                              bool strict = false,
-                              const SequenceIndex* index = nullptr);
-
-/// Leftmost-embedding endpoints of a pattern: the shared first step of
-/// every extension scan. For an empty pattern both ends are kNoTxn with
-/// contained == true. `index` (when non-null, built from `s`) turns each
-/// embedding step into binary-search jumps. `probes`, when non-null, is
-/// incremented once per itemset looked up (one embedding step each).
-struct EmbeddingEnds {
-  bool contained = false;
-  std::uint32_t full_end = kNoTxn;    ///< end txn of the whole pattern
-  std::uint32_t prefix_end = kNoTxn;  ///< end txn of all itemsets but last
-};
-EmbeddingEnds LeftmostEnds(SequenceView s, const Sequence& pattern,
-                           const SequenceIndex* index = nullptr,
-                           std::uint64_t* probes = nullptr);
+                              bool strict = false);
 
 /// The leftmost-embedding ends of `child`, a one-item extension of a
 /// pattern whose ends are `parent` (contained), by one index probe: an

@@ -10,8 +10,10 @@
 // last transaction, so the s-extension set after an embedding's end is
 // read in place as a forward-only row cursor (NextRowFrom).
 //
-// An index is immutable and tied to the sequence it was built from; all
-// consumers accept a null index and fall back to direct scans.
+// An index is immutable and tied to the sequence it was built from. The
+// extension scans (seq/extension.h) and LeftmostEnds accept a null index
+// and fall back to direct scans; the k-sorted database (core/ksorted.h)
+// requires one.
 #ifndef DISC_SEQ_INDEX_H_
 #define DISC_SEQ_INDEX_H_
 

@@ -35,20 +35,18 @@ TEST(Containment, OrderMatters) {
 }
 
 TEST(Containment, EmptyPattern) {
-  const Embedding e = LeftmostEmbedding(Seq("(a)"), Sequence());
-  EXPECT_TRUE(e.found);
-  EXPECT_EQ(e.end_txn, kNoTxn);
+  const EmbeddingEnds e = LeftmostEnds(Seq("(a)"), Sequence());
+  EXPECT_TRUE(e.contained);
+  EXPECT_EQ(e.full_end, kNoTxn);
+  EXPECT_EQ(e.prefix_end, kNoTxn);
 }
 
 TEST(Containment, LeftmostEmbeddingIsGreedy) {
-  std::vector<std::uint32_t> txns;
   const Sequence s = Seq("(a)(x,a)(b)(a,b)");
-  const Embedding e = LeftmostEmbedding(s, Seq("(a)(b)"), &txns);
-  ASSERT_TRUE(e.found);
-  EXPECT_EQ(e.end_txn, 2u);
-  ASSERT_EQ(txns.size(), 2u);
-  EXPECT_EQ(txns[0], 0u);
-  EXPECT_EQ(txns[1], 2u);
+  const EmbeddingEnds e = LeftmostEnds(s, Seq("(a)(b)"));
+  ASSERT_TRUE(e.contained);
+  EXPECT_EQ(e.prefix_end, 0u);
+  EXPECT_EQ(e.full_end, 2u);
 }
 
 TEST(Containment, FindTxnWithItemset) {

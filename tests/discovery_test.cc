@@ -16,15 +16,9 @@
 namespace disc {
 namespace {
 
+using testutil::BruteGroups;
+using testutil::PassInput;
 using testutil::Seq;
-
-PartitionMembers Members(const SequenceDatabase& db) {
-  PartitionMembers out;
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    out.push_back({db[cid], nullptr, cid});
-  }
-  return out;
-}
 
 // All frequent k-sequences whose (k-1)-prefix is in `list`, by brute force.
 std::map<Sequence, std::uint32_t, SequenceLess> BruteFrequentK(
@@ -54,8 +48,9 @@ void ExpectDiscoveryMatchesBrute(const SequenceDatabase& db,
   opt.k = k;
   opt.delta = delta;
   opt.bilevel = false;
+  const PassInput in(db, list);
   const DiscoveryResult res =
-      DiscoverFrequentK(Members(db), list, opt, nullptr);
+      DiscoverFrequentK(in.members(), list, opt, nullptr, in.groups);
   const auto expected = BruteFrequentK(db, list, k, delta);
   ASSERT_EQ(res.frequent_k.size(), expected.size());
   std::size_t i = 0;
@@ -98,8 +93,9 @@ TEST(Discovery, ChainedLevels) {
     DiscoveryOptions opt;
     opt.k = k;
     opt.delta = delta;
+    const PassInput in(db, list);
     const DiscoveryResult res =
-        DiscoverFrequentK(Members(db), list, opt, nullptr);
+        DiscoverFrequentK(in.members(), list, opt, nullptr, in.groups);
     list.clear();
     for (const auto& [p, sup] : res.frequent_k) {
       (void)sup;
@@ -121,8 +117,9 @@ TEST(Discovery, BilevelMatchesTwoPlainPasses) {
   DiscoveryOptions plain;
   plain.k = 2;
   plain.delta = delta;
+  const PassInput in(db, list);
   const DiscoveryResult r2 =
-      DiscoverFrequentK(Members(db), list, plain, nullptr);
+      DiscoverFrequentK(in.members(), list, plain, nullptr, in.groups);
   std::vector<Sequence> list3;
   for (const auto& [p, sup] : r2.frequent_k) {
     (void)sup;
@@ -130,14 +127,15 @@ TEST(Discovery, BilevelMatchesTwoPlainPasses) {
   }
   DiscoveryOptions plain3 = plain;
   plain3.k = 3;
+  const PassInput in3(db, list3);
   const DiscoveryResult r3 =
-      DiscoverFrequentK(Members(db), list3, plain3, nullptr);
+      DiscoverFrequentK(in3.members(), list3, plain3, nullptr, in3.groups);
 
   DiscoveryOptions bilevel = plain;
   bilevel.bilevel = true;
   CountingArray counts(db.max_item());
   const DiscoveryResult rb =
-      DiscoverFrequentK(Members(db), list, bilevel, &counts);
+      DiscoverFrequentK(in.members(), list, bilevel, &counts, in.groups);
   EXPECT_EQ(rb.frequent_k, r2.frequent_k);
   EXPECT_EQ(rb.frequent_k1, r3.frequent_k);
 }
@@ -160,10 +158,11 @@ TEST(Discovery, ResortVariantIsIdentical) {
     DiscoveryOptions resort = locative;
     resort.locative = false;
     CountingArray counts(db.max_item());
+    const PassInput in(db, list);
     const DiscoveryResult a =
-        DiscoverFrequentK(Members(db), list, locative, &counts);
+        DiscoverFrequentK(in.members(), list, locative, &counts, in.groups);
     const DiscoveryResult b =
-        DiscoverFrequentK(Members(db), list, resort, &counts);
+        DiscoverFrequentK(in.members(), list, resort, &counts, in.groups);
     EXPECT_EQ(a.frequent_k, b.frequent_k) << "seed " << seed;
     EXPECT_EQ(a.frequent_k1, b.frequent_k1) << "seed " << seed;
   }
@@ -175,25 +174,27 @@ TEST(Discovery, ResortVariantIsIdentical) {
 // parent's leftmost ends — exactly when it contains the sequence whose
 // bucket made the group: α₁, which is the parent with bi-level and the
 // group's single entry without. A pass seeded with those groups finds what
-// the ungrouped pass finds, and hands on the same groups.
+// a pass seeded with the brute-force groups by parent finds, and hands on
+// the same groups.
 TEST(Discovery, NextGroupsAreBucketSupporters) {
   for (std::uint64_t seed = 30; seed < 38; ++seed) {
     for (const bool bilevel : {false, true}) {
       const SequenceDatabase db = testutil::RandomDatabase(seed);
-      const PartitionMembers members = Members(db);
       std::vector<Sequence> list;
       for (Item x = 1; x <= 8; ++x) {
         Sequence s;
         s.AppendNewItemset(x);
         if (CountSupport(db, s) >= 3) list.push_back(s);
       }
+      const PassInput in(db, list);
+      const PartitionMembers& members = in.members();
       DiscoveryOptions opt;
       opt.k = 2;
       opt.delta = 3;
       opt.bilevel = bilevel;
       CountingArray counts(db.max_item());
       const DiscoveryResult res =
-          DiscoverFrequentK(members, list, opt, &counts);
+          DiscoverFrequentK(members, list, opt, &counts, in.groups);
       const auto& found = bilevel ? res.frequent_k1 : res.frequent_k;
       std::vector<Sequence> next;
       for (const auto& [p, sup] : found) next.push_back(p);
@@ -237,9 +238,9 @@ TEST(Discovery, NextGroupsAreBucketSupporters) {
       DiscoveryOptions opt2 = opt;
       opt2.k = bilevel ? 4 : 3;
       const DiscoveryResult grouped =
-          DiscoverFrequentK(members, next, opt2, &counts, &g);
-      const DiscoveryResult plain =
-          DiscoverFrequentK(members, next, opt2, &counts);
+          DiscoverFrequentK(members, next, opt2, &counts, g);
+      const DiscoveryResult plain = DiscoverFrequentK(
+          members, next, opt2, &counts, BruteGroups(members, next));
       EXPECT_EQ(grouped.frequent_k, plain.frequent_k) << "seed " << seed;
       EXPECT_EQ(grouped.frequent_k1, plain.frequent_k1) << "seed " << seed;
       EXPECT_EQ(grouped.iterations, plain.iterations) << "seed " << seed;
@@ -264,11 +265,13 @@ TEST(Discovery, EmptyListOrTooFewMembers) {
   opt.k = 2;
   opt.delta = static_cast<std::uint32_t>(db.size()) + 1;
   std::vector<Sequence> list = {Seq("(a)")};
-  EXPECT_TRUE(
-      DiscoverFrequentK(Members(db), list, opt, nullptr).frequent_k.empty());
+  const PassInput in(db, list);
+  EXPECT_TRUE(DiscoverFrequentK(in.members(), list, opt, nullptr, in.groups)
+                  .frequent_k.empty());
   opt.delta = 2;
-  EXPECT_TRUE(
-      DiscoverFrequentK(Members(db), {}, opt, nullptr).frequent_k.empty());
+  const PassInput none(db, {});
+  EXPECT_TRUE(DiscoverFrequentK(none.members(), {}, opt, nullptr, none.groups)
+                  .frequent_k.empty());
 }
 
 TEST(Discovery, IterationCountIsBounded) {
@@ -283,8 +286,9 @@ TEST(Discovery, IterationCountIsBounded) {
   DiscoveryOptions opt;
   opt.k = 2;
   opt.delta = 3;
+  const PassInput in(db, list);
   const DiscoveryResult res =
-      DiscoverFrequentK(Members(db), list, opt, nullptr);
+      DiscoverFrequentK(in.members(), list, opt, nullptr, in.groups);
   EXPECT_GT(res.iterations, 0u);
   // Each iteration either certifies one frequent k-sequence or skips a
   // whole range; it can never exceed #frequent + #members * #keys bound.

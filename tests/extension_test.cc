@@ -74,9 +74,9 @@ TEST(ExtensionScan, PrefixConstrainsIExtensionTransactions) {
   EXPECT_EQ(e.i_items, (std::vector<Item>{25}));  // y only, not z
 }
 
-// Property: ScanMinExtension (the allocation-free KMS hot path) equals
-// taking ScanExtensions and selecting the first qualifying element, across
-// random floors and strictness.
+// Property: ScanMinExtension (the reference for Apriori-KMS/CKMS's cursors)
+// equals taking ScanExtensions and selecting the first qualifying element,
+// across random floors and strictness.
 TEST(ScanMinExtension, MatchesFullScan) {
   Rng rng(555);
   for (int trial = 0; trial < 400; ++trial) {

@@ -92,16 +92,6 @@ TEST(SequenceIndex, IndexedScansMatchUnindexed) {
     EXPECT_EQ(a.full_end, b.full_end);
     EXPECT_EQ(a.prefix_end, b.prefix_end);
 
-    const MinExtension m1 = ScanMinExtension(s, pattern);
-    const MinExtension m2 =
-        ScanMinExtension(s, pattern, nullptr, false, &idx);
-    EXPECT_EQ(m1.contained, m2.contained);
-    EXPECT_EQ(m1.found, m2.found);
-    if (m1.found) {
-      EXPECT_EQ(m1.item, m2.item);
-      EXPECT_EQ(m1.type, m2.type);
-    }
-
     std::vector<std::pair<Item, ExtType>> e1, e2;
     ForEachExtension(s, pattern,
                      [&](Item x, ExtType t) { e1.emplace_back(x, t); });

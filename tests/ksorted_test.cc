@@ -18,35 +18,30 @@ namespace disc {
 namespace {
 
 using testutil::KeyOf;
+using testutil::PassInput;
 using testutil::Seq;
 
-PartitionMembers Members(const SequenceDatabase& db) {
-  PartitionMembers out;
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    out.push_back({db[cid], nullptr, cid});
-  }
-  return out;
-}
-
-// A k = 1 database over the empty prefix: member i's key is the 1-sequence
-// of its smallest item.
+// A k = 2 database over the one-entry list <(s)>: member i is <(s)(x)> for
+// the i-th item x, so its key is entry 0 extended by (x, S).
 struct OneItemKeys {
   explicit OneItemKeys(const std::vector<Item>& items) {
     for (const Item x : items) {
-      Sequence s;
+      Sequence s = list[0];
       s.AppendNewItemset(x);
       db.Add(s);
     }
   }
   RankKey Key(Item x) const { return RankKey{0, x, ExtType::kSequence}; }
 
+  const std::vector<Sequence> list = {Seq("(s)")};
   SequenceDatabase db;
-  const std::vector<Sequence> list = {Sequence()};
 };
 
 TEST(KSorted, BasicInsertAndMin) {
   const OneItemKeys keys({2, 1, 1});
-  const KSortedDatabase sd(Members(keys.db), &keys.list, 1);
+  const PassInput in(keys.db, keys.list);
+  const KSortedDatabase sd(in.members(), &keys.list, 2, /*locative=*/true,
+                           &in.groups);
   EXPECT_EQ(sd.size(), 3u);
   EXPECT_EQ(sd.MinKey(), keys.Key(1));
   EXPECT_EQ(sd.SelectKey(2), keys.Key(1));
@@ -61,7 +56,9 @@ TEST(KSorted, SelectKeyCountsMultiplicity) {
   db.Add(Seq("(a,b)"));
   db.Add(Seq("(a)(a)"));
   const std::vector<Sequence> list = {Seq("(a)")};
-  const KSortedDatabase sd(Members(db), &list, 2);
+  const PassInput in(db, list);
+  const KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true,
+                           &in.groups);
   ASSERT_EQ(sd.size(), 4u);
   EXPECT_EQ(sd.SelectKey(1), KeyOf(list, Seq("(a)(a)")));
   EXPECT_EQ(sd.SelectKey(2), KeyOf(list, Seq("(a)(a)")));
@@ -77,7 +74,9 @@ TEST(KSorted, PopMinBucket) {
   db.Add(Seq("(a)(z)"));  // (a)(z): prefix 0
   db.Add(Seq("(a)(z)"));
   const std::vector<Sequence> list = {Seq("(a)"), Seq("(b)")};
-  KSortedDatabase sd(Members(db), &list, 2);
+  const PassInput in(db, list);
+  KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true,
+                     &in.groups);
   std::vector<std::uint32_t> handles;
   sd.PopMinBucket(&handles);
   ASSERT_EQ(handles.size(), 2u);
@@ -90,7 +89,9 @@ TEST(KSorted, PopMinBucket) {
 
 TEST(KSorted, PopAllLess) {
   const OneItemKeys keys({4, 1, 3, 2});
-  KSortedDatabase sd(Members(keys.db), &keys.list, 1);
+  const PassInput in(keys.db, keys.list);
+  KSortedDatabase sd(in.members(), &keys.list, 2, /*locative=*/true,
+                     &in.groups);
   std::vector<std::uint32_t> handles;
   sd.PopAllLess(keys.Key(3), &handles);
   // Ascending key order: the members holding 1, then 2.
@@ -105,7 +106,9 @@ TEST(KSorted, BuildsTable9) {
   const SequenceDatabase part = testutil::Table8Partition();
   const std::vector<Sequence> list = {Seq("(a)(a,e)"), Seq("(a)(a,g)"),
                                       Seq("(a)(a,h)")};
-  KSortedDatabase sd(Members(part), &list, 4);
+  const PassInput in(part, list);
+  KSortedDatabase sd(in.members(), &list, 4, /*locative=*/true,
+                     &in.groups);
   ASSERT_EQ(sd.size(), 6u);
   // Sorted order of Table 9.
   EXPECT_EQ(sd.KeySequence(sd.MinKey()).ToString(), "(a)(a,e)(c)");
@@ -121,7 +124,9 @@ TEST(KSorted, DropsMembersWithoutQualifyingKMin) {
   db.Add(Seq("(z)"));          // cannot host any 2-sequence
   db.Add(Seq("(b)"));          // too short for k=2
   const std::vector<Sequence> list = {Seq("(a)"), Seq("(b)")};
-  KSortedDatabase sd(Members(db), &list, 2);
+  const PassInput in(db, list);
+  KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true,
+                     &in.groups);
   EXPECT_EQ(sd.size(), 1u);
   EXPECT_EQ(sd.KeySequence(sd.MinKey()).ToString(), "(a)(b)");
 }
@@ -130,8 +135,9 @@ TEST(KSorted, AdvanceAndReinsertMovesKeysForward) {
   const SequenceDatabase part = testutil::Table8Partition();
   const std::vector<Sequence> list = {Seq("(a)(a,e)"), Seq("(a)(a,g)"),
                                       Seq("(a)(a,h)")};
+  const PassInput in(part, list);
   for (const bool locative : {true, false}) {
-    KSortedDatabase sd(Members(part), &list, 4, locative);
+    KSortedDatabase sd(in.members(), &list, 4, locative, &in.groups);
     // Pop the minimum (CID 3's (a)(a,e)(c)) and advance it non-strictly to
     // the key at position 3 — Example 3.4.
     const RankKey bound = sd.SelectKey(3);
@@ -153,8 +159,9 @@ TEST(KSorted, StrictAdvanceDropsExhaustedMembers) {
   SequenceDatabase db;
   db.Add(Seq("(a)(b)"));  // only one 2-subsequence
   const std::vector<Sequence> list = {Seq("(a)")};
+  const PassInput in(db, list);
   for (const bool locative : {true, false}) {
-    KSortedDatabase sd(Members(db), &list, 2, locative);
+    KSortedDatabase sd(in.members(), &list, 2, locative, &in.groups);
     ASSERT_EQ(sd.size(), 1u);
     std::vector<std::uint32_t> handles;
     sd.PopMinBucket(&handles);
@@ -173,7 +180,9 @@ TEST(KSorted, KeysMatchBruteForceMinima) {
     s.AppendNewItemset(x);
     list.push_back(s);
   }
-  KSortedDatabase sd(Members(db), &list, 2);
+  const PassInput in(db, list);
+  KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true,
+                     &in.groups);
   // Drain the run bucket by bucket: every popped entry's brute-force
   // 2-minimum must equal the bucket key it was filed under.
   std::vector<std::uint32_t> handles;
@@ -245,7 +254,8 @@ void DriveAgainstReference(bool locative, bool disc_bounds) {
         }
       }
       Rng rng(seed * 31 + k);
-      KSortedDatabase sd(Members(db), &list, k, locative);
+      const PassInput in(db, list);
+      KSortedDatabase sd(in.members(), &list, k, locative, &in.groups);
       // handle -> current key, by enumeration.
       std::map<std::uint32_t, RankKey> reference;
       std::size_t qualifying = 0;
@@ -372,7 +382,9 @@ TEST(LocativeAvl, InorderKeysSorted) {
     db.Add(s);
     member_keys.push_back(KeyOf(list, s));
   }
-  KSortedDatabase sd(Members(db), &list, 2);
+  const PassInput in(db, list);
+  KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true,
+                     &in.groups);
   ASSERT_EQ(sd.size(), member_keys.size());
   std::vector<RankKey> keys;
   for (const KSortedDatabase::Slot& slot : sd.live()) {

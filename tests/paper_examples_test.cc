@@ -20,6 +20,7 @@ namespace disc {
 namespace {
 
 using testutil::KeyOf;
+using testutil::PassInput;
 using testutil::Seq;
 
 // ---- §1.1: the SPADE ID-list walk-through on Table 1.
@@ -176,6 +177,8 @@ TEST(PaperExamples, Example31FrequentSequences) {
 
 // ---- §3.2: Tables 8-10, Examples 3.3-3.5, Figure 7.
 
+// The <(a)(a)>-partition's frequent 3-sequences: one supporter group under
+// <(a)(a)>, which is how DISC-all runs that partition.
 std::vector<Sequence> Table8SortedList() {
   return {Seq("(a)(a,e)"), Seq("(a)(a,g)"), Seq("(a)(a,h)")};
 }
@@ -197,8 +200,14 @@ TEST(PaperExamples, Example33AprioriKms) {
       {"(a)(a,e,g)", 0},   // CID 6
       {"(a)(a,e,g)", 0},   // CID 7
   };
+  const PassInput in(part, list);
+  ASSERT_EQ(in.groups.begin.size(), 2u);
   for (Cid cid = 0; cid < 6; ++cid) {
-    const KmsResult r = AprioriKms(part[cid], list);
+    KmsScanState state;
+    KmsTally tally;
+    const KmsResult r = AprioriKms(
+        KmsWalk{part[cid], in.members()[cid].index, &list, &in.groups, cid},
+        &state, &tally);
     ASSERT_TRUE(r.found) << "CID " << cid;
     EXPECT_EQ(KeySequence(list, r.key).ToString(), expected[cid].kmin)
         << "CID " << cid;
@@ -212,8 +221,12 @@ TEST(PaperExamples, Example34AprioriCkms) {
   // 4-minimum subsequence is <(a)(a,e,g)> itself (Table 10).
   const SequenceDatabase part = testutil::Table8Partition();
   const std::vector<Sequence> list = Table8SortedList();
+  const PassInput in(part, list);
+  KmsScanState state;
+  KmsTally tally;
   const KmsResult r = AprioriCkms(
-      part[2], list, {KeyOf(list, Seq("(a)(a,e,g)")), /*strict=*/false});
+      KmsWalk{part[2], in.members()[2].index, &list, &in.groups, 2},
+      {KeyOf(list, Seq("(a)(a,e,g)")), /*strict=*/false}, &state, &tally);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(KeySequence(list, r.key).ToString(), "(a)(a,e,g)");
 }
@@ -224,17 +237,15 @@ TEST(PaperExamples, Example35DiscoveryWithBilevel) {
   // 3.5) supported by all except CID 1 — support 5. The bi-level pass also
   // finds <(a)(a,e,g,h)> (Figure 7: the (_h) entry reaches 3).
   const SequenceDatabase part = testutil::Table8Partition();
-  PartitionMembers members;
-  for (Cid cid = 0; cid < part.size(); ++cid) {
-    members.push_back({part[cid], nullptr, cid});
-  }
+  const std::vector<Sequence> list = Table8SortedList();
+  const PassInput in(part, list);
   DiscoveryOptions options;
   options.k = 4;
   options.delta = 3;
   options.bilevel = true;
   CountingArray counts(part.max_item());
   const DiscoveryResult res =
-      DiscoverFrequentK(members, Table8SortedList(), options, &counts);
+      DiscoverFrequentK(in.members(), list, options, &counts, in.groups);
   // The paper's walkthrough only narrates the first iteration; the full
   // pass finds all three frequent 4-sequences (hand-verified supports).
   ASSERT_EQ(res.frequent_k.size(), 3u);

@@ -332,10 +332,8 @@ TEST(RunDiscLoop, FindsAllLongPatterns) {
   // Four copies of the same sequence: every subsequence is frequent.
   SequenceDatabase db;
   for (int i = 0; i < 4; ++i) db.Add(Seq("(a)(b)(c)(d)"));
-  PartitionMembers members;
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    members.push_back({db[cid], nullptr, cid});
-  }
+  const testutil::IndexedMembers indexed(db);
+  const PartitionMembers& members = indexed.members;
   // Start DISC at k=2 from the frequent 1-list.
   std::vector<Sequence> list;
   for (Item x = 1; x <= 4; ++x) {

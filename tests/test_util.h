@@ -4,14 +4,19 @@
 #define DISC_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "disc/common/check.h"
 #include "disc/common/rng.h"
+#include "disc/core/kms.h"
+#include "disc/core/member.h"
 #include "disc/core/rank_key.h"
 #include "disc/gen/quest.h"
+#include "disc/seq/containment.h"
 #include "disc/seq/database.h"
+#include "disc/seq/index.h"
 #include "disc/seq/parse.h"
 #include "disc/seq/sequence.h"
 
@@ -165,6 +170,69 @@ inline RankKey KeyOf(const std::vector<Sequence>& sorted_list,
   return RankKey{static_cast<std::uint32_t>(it - sorted_list.begin()),
                  seq.LastItem(), type};
 }
+
+/// Sequences as partition members with their occurrence indexes: member i
+/// views seqs[i], which must outlive this object, and has cid i.
+struct IndexedMembers {
+  template <typename Seqs>
+  explicit IndexedMembers(const Seqs& seqs) {
+    for (const SequenceView s : seqs) {
+      indexes.emplace_back(s);
+      members.push_back(
+          {s, &indexes.back(), static_cast<Cid>(members.size())});
+    }
+  }
+  IndexedMembers(const IndexedMembers&) = delete;
+  IndexedMembers& operator=(const IndexedMembers&) = delete;
+
+  std::deque<SequenceIndex> indexes;
+  PartitionMembers members;
+};
+
+/// Supporter groups of `list` (ascending, entries of one length >= 1) over
+/// `members`, by brute force. Each run of entries sharing their parent,
+/// the entry less its last item, is one group; with `rng`, runs are also
+/// split at random points, as a pass without bi-level hands on one group
+/// per entry. Member m supports every group whose parent it contains, with
+/// the parent's leftmost ends.
+inline SupporterGroups BruteGroups(const PartitionMembers& members,
+                                   const std::vector<Sequence>& list,
+                                   Rng* rng = nullptr) {
+  SupporterGroups g;
+  std::vector<Sequence> parents;
+  for (std::uint32_t i = 0; i < list.size(); ++i) {
+    Sequence parent = list[i].Prefix(list[i].Length() - 1);
+    if (i == 0 || CompareSequences(parent, parents.back()) != 0 ||
+        (rng != nullptr && rng->NextBounded(3) == 0)) {
+      g.begin.push_back(i);
+      parents.push_back(std::move(parent));
+    }
+  }
+  g.begin.push_back(static_cast<std::uint32_t>(list.size()));
+  g.offsets.push_back(0);
+  for (const PartitionMember& m : members) {
+    for (std::uint32_t j = 0; j < parents.size(); ++j) {
+      const EmbeddingEnds ends = LeftmostEnds(m.seq, parents[j]);
+      if (!ends.contained) continue;
+      g.supported.push_back(SupportedGroup{j, ends.full_end, ends.prefix_end});
+    }
+    g.offsets.push_back(static_cast<std::uint32_t>(g.supported.size()));
+  }
+  return g;
+}
+
+/// A pass's input as the DISC loop hands it over: `seqs` as indexed
+/// members, with `list`'s supporter groups by parent over them.
+struct PassInput {
+  template <typename Seqs>
+  PassInput(const Seqs& seqs, const std::vector<Sequence>& list)
+      : indexed(seqs), groups(BruteGroups(indexed.members, list)) {}
+
+  const PartitionMembers& members() const { return indexed.members; }
+
+  IndexedMembers indexed;
+  SupporterGroups groups;
+};
 
 }  // namespace testutil
 }  // namespace disc

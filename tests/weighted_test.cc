@@ -129,32 +129,29 @@ TEST(WeightedDeathTest, InvalidOptionsAbort) {
 }
 
 TEST(Weighted, SelectKeyByRunningWeight) {
-  // Three members keyed (a), (b), (c) over the empty prefix, weighing 2.0,
-  // 0.5 and 3.0.
+  // Three members keyed (s)(a), (s)(b), (s)(c) over the list <(s)>,
+  // weighing 2.0, 0.5 and 3.0.
   SequenceDatabase db;
-  db.Add(Seq("(a)"));
-  db.Add(Seq("(b)"));
-  db.Add(Seq("(c)"));
+  db.Add(Seq("(s)(a)"));
+  db.Add(Seq("(s)(b)"));
+  db.Add(Seq("(s)(c)"));
   const std::vector<double> weights = {2.0, 0.5, 3.0};
-  const std::vector<Sequence> list = {Sequence()};
-  PartitionMembers members;
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    members.push_back({db[cid], nullptr, cid});
-  }
-  KSortedDatabase sd(members, &list, 1);
+  const std::vector<Sequence> list = {Seq("(s)")};
+  const testutil::PassInput in(db, list);
+  KSortedDatabase sd(in.members(), &list, 2, /*locative=*/true, &in.groups);
   auto select = [&](double min_weight) -> std::string {
     const std::optional<RankKey> key =
         WeightedSelectKey(sd, weights, min_weight);
     return key ? KeySequence(list, *key).ToString() : "end";
   };
-  EXPECT_EQ(select(0.1), "(a)");  // inside the first bucket
-  EXPECT_EQ(select(2.0), "(a)");  // on its boundary
-  EXPECT_EQ(select(2.2), "(b)");  // just past it
-  EXPECT_EQ(select(5.5), "(c)");  // the total
-  EXPECT_EQ(select(5.6), "end");  // above the total: the pass ends
+  EXPECT_EQ(select(0.1), "(s)(a)");  // inside the first bucket
+  EXPECT_EQ(select(2.0), "(s)(a)");  // on its boundary
+  EXPECT_EQ(select(2.2), "(s)(b)");  // just past it
+  EXPECT_EQ(select(5.5), "(s)(c)");  // the total
+  EXPECT_EQ(select(5.6), "end");     // above the total: the pass ends
   std::vector<std::uint32_t> handles;
   sd.PopMinBucket(&handles);
-  EXPECT_EQ(select(3.5), "(c)");
+  EXPECT_EQ(select(3.5), "(s)(c)");
   EXPECT_EQ(select(3.6), "end");
 }
 
