@@ -2,8 +2,10 @@
 // (the paper's Table 11 parameters) as an SPMF text file, then optionally
 // mine it right back.
 //
-//   $ ./generate_data out.spmf --ncust=10000 --slen=10 --tlen=2.5 \
-//         --nitems=1000 --seq_patlen=4 [--mine --minsup=0.005]
+//   $ ./generate_data out.spmf [--mine --minsup=0.005]
+//
+// The defaults are --ncust=10000 --slen=10 --tlen=2.5 --nitems=1000
+// --seq_patlen=4 --seed=42.
 //
 // Round-trip demo of the gen + io + algo layers. Exit codes follow the
 // library convention (docs/ROBUSTNESS.md): 0 success, 2 usage error,

@@ -8,15 +8,6 @@
 #include "disc/core/first_level.h"
 
 namespace disc {
-namespace {
-
-void MergeInto(PatternSet* merged, const PatternSet& part) {
-  for (const auto& [pattern, sup] : part) {
-    merged->Add(pattern, sup);
-  }
-}
-
-}  // namespace
 
 ShardPlan PlanShards(const SequenceDatabase& db, std::uint32_t shard_count) {
   DISC_CHECK_MSG(shard_count >= 1, "shard_count must be >= 1");
@@ -151,30 +142,6 @@ MineResult MineShardRange(Miner& miner, const SequenceDatabase& shard_db,
   return result;
 }
 
-MineResult MineSharded(const SequenceDatabase& db,
-                       const std::string& miner_name,
-                       const MineOptions& options,
-                       std::uint32_t shard_count) {
-  MineResult merged;
-  auto miner_or = TryCreateMiner(miner_name);
-  if (!miner_or.ok()) {
-    merged.status = miner_or.status();
-    return merged;
-  }
-  const ShardPlan plan = PlanShards(db, shard_count);
-  for (const ShardSpec& spec : plan.shards) {
-    const SequenceDatabase shard = ExtractShard(db, spec);
-    MineResult part = MineShardRange(**miner_or, shard, options,
-                                     spec.lambda_lo, spec.lambda_hi);
-    MergeInto(&merged.patterns, part.patterns);
-    if (!part.status.ok()) {
-      merged.status = part.status;
-      return merged;  // comparative-order prefix up to the stopped shard
-    }
-  }
-  return merged;
-}
-
 MineResult MineShardFiles(const std::vector<std::string>& paths,
                           const std::string& miner_name,
                           const MineOptions& options) {
@@ -227,7 +194,9 @@ MineResult MineShardFiles(const std::vector<std::string>& paths,
     MineResult part =
         MineShardRange(**miner_or, *db_or, options, info.shard.lambda_lo,
                        info.shard.lambda_hi);
-    MergeInto(&merged.patterns, part.patterns);
+    // Every pattern of this shard starts with an item above the previous
+    // shards' range, so it lands after everything merged so far.
+    merged.patterns.Absorb(std::move(part.patterns));
     if (!part.status.ok()) {
       merged.status = part.status;
       return merged;

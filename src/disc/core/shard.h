@@ -89,19 +89,14 @@ MineResult MineShardRange(Miner& miner, const SequenceDatabase& shard_db,
                           const MineOptions& options, Item lambda_lo,
                           Item lambda_hi);
 
-/// In-memory sharded mine: plans `shard_count` shards, extracts and mines
-/// each in λ order with `miner_name`, merges. Byte-identical to mining
-/// `db` unsharded with the same miner and options; on an early stop the
-/// merged set is the comparative-order prefix up to the stopped shard.
-MineResult MineSharded(const SequenceDatabase& db,
-                       const std::string& miner_name,
-                       const MineOptions& options, std::uint32_t shard_count);
-
 /// Out-of-core sharded mine: maps the given shard files one at a time (in
 /// the given order, which must be index order — validated against each
-/// header's shard metadata, including contiguous λ coverage) and mines
-/// each for its recorded λ-range. Peak memory is one shard. Merged result
-/// as MineSharded.
+/// header's shard metadata, including contiguous λ coverage), mines each
+/// for its recorded λ-range with `miner_name`, and moves each shard's
+/// patterns into the merged set. Peak memory is one shard. Byte-identical
+/// to mining the packed database unsharded with the same miner and
+/// options; on an early stop the merged set is the comparative-order
+/// prefix up to the stopped shard.
 MineResult MineShardFiles(const std::vector<std::string>& paths,
                           const std::string& miner_name,
                           const MineOptions& options);

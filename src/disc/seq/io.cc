@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "disc/common/check.h"
 #include "disc/common/failpoint.h"
 #include "disc/obs/metrics.h"
 #include "disc/obs/trace.h"
@@ -221,23 +220,11 @@ StatusOr<SequenceDatabase> TryLoadSpmf(const std::string& path,
   return result;
 }
 
-SequenceDatabase FromSpmfString(const std::string& text) {
-  auto result = TryFromSpmfString(text);
-  DISC_CHECK_MSG(result.ok(), result.status().message().c_str());
-  return std::move(*result);
-}
-
 bool SaveSpmf(const SequenceDatabase& db, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   out << ToSpmfString(db);
   return static_cast<bool>(out);
-}
-
-SequenceDatabase LoadSpmf(const std::string& path) {
-  auto result = TryLoadSpmf(path);
-  DISC_CHECK_MSG(result.ok(), result.status().message().c_str());
-  return std::move(*result);
 }
 
 }  // namespace disc

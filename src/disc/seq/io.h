@@ -3,17 +3,14 @@
 // -1 terminates each itemset and -2 terminates the sequence, e.g.
 //   1 5 7 -1 2 -1 -2
 //
-// Two ingestion surfaces:
-//   * Try* — recoverable: malformed input comes back as a Status
-//     (kDataLoss / kIoError) with per-line context, or — in permissive
-//     mode — malformed records are skipped and counted (the
-//     "io.records.skipped" counter and ParseReport::skipped), so a serving
-//     process can ingest a dirty file without dying. Whitespace-only lines
-//     and CRLF line endings are tolerated in both modes, and the last line
-//     does not need a trailing newline.
-//   * the legacy aborting wrappers (FromSpmfString / LoadSpmf) — strict
-//     parses that DISC_CHECK-abort with the same diagnostics; kept for
-//     tests and one-shot tools where failing loudly is correct.
+// The loaders are recoverable: malformed input comes back as a Status
+// (kDataLoss / kIoError) with per-line context, or — in permissive mode —
+// malformed records are skipped and counted (the "io.records.skipped"
+// counter and ParseReport::skipped), so a serving process can ingest a
+// dirty file without dying. Whitespace-only lines and CRLF line endings
+// are tolerated in both modes, and the last line does not need a trailing
+// newline. Where failing loudly is correct (tests, one-shot tools), call
+// value() on the result: it aborts with the status text.
 #ifndef DISC_SEQ_IO_H_
 #define DISC_SEQ_IO_H_
 
@@ -64,15 +61,8 @@ StatusOr<SequenceDatabase> TryLoadSpmf(const std::string& path,
                                        const ParseOptions& options = {},
                                        ParseReport* report = nullptr);
 
-/// Parses a database from SPMF-format text. Aborts on malformed input.
-SequenceDatabase FromSpmfString(const std::string& text);
-
 /// Writes the database to a file. Returns false on I/O failure.
 bool SaveSpmf(const SequenceDatabase& db, const std::string& path);
-
-/// Reads a database from a file. Aborts if the file cannot be opened or is
-/// malformed.
-SequenceDatabase LoadSpmf(const std::string& path);
 
 }  // namespace disc
 

@@ -100,24 +100,6 @@ Sequence ParseSequence(const std::string& text) {
   return std::move(*result);
 }
 
-SequenceDatabase ParseDatabase(const std::string& text) {
-  SequenceDatabase db;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    bool blank = true;
-    for (const char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-    }
-    if (!blank) db.Add(ParseSequence(line));
-    if (end == text.size()) break;
-    start = end + 1;
-  }
-  return db;
-}
-
 SequenceDatabase MakeDatabase(const std::vector<std::string>& lines) {
   SequenceDatabase db;
   for (const std::string& line : lines) db.Add(ParseSequence(line));

@@ -29,9 +29,6 @@ StatusOr<Sequence> TryParseSequence(const std::string& text);
 /// Parses a single sequence; aborts on malformed input.
 Sequence ParseSequence(const std::string& text);
 
-/// Parses one sequence per non-empty line. Aborts on malformed input.
-SequenceDatabase ParseDatabase(const std::string& text);
-
 /// Convenience: parses several sequence literals into a database.
 SequenceDatabase MakeDatabase(const std::vector<std::string>& lines);
 

@@ -10,7 +10,10 @@
 // reduced root child; and with γ = 1.01, which splits reduced members all
 // the way down. The weighted miner at unit weights must report the same
 // supports, and so must the baselines: SPADE and physical-projection
-// PrefixSpan on every shape, GSP and SPAM on the small ones. The
+// PrefixSpan on every shape, GSP and SPAM on the small ones. At seeded
+// random weights, a quarter of them zero, every weight the weighted miner
+// reports must be the pattern's brute-force weighted support, and on the
+// small shapes its set is also checked complete by enumeration. The
 // databases are small, seeded and built to sit on the edges the partition
 // kernel has to get right: a single customer, δ = 1 and δ = |DB|, one
 // transaction of over a hundred items, the same items in every
@@ -21,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -81,7 +85,8 @@ std::vector<Variant> DiscVariants() {
 
 // Which baselines a shape runs: GSP's candidate generation and SPAM's
 // per-item bitmaps grow with the alphabet and the transaction width, so
-// they run only on the small shapes.
+// they run only on the small shapes, where the random-weight run is also
+// checked complete by enumeration.
 enum class Baselines { kAll, kScalable };
 
 // Every reported pattern has its brute-force support, at least δ, and
@@ -116,6 +121,55 @@ void ExpectUnitWeightsMatch(const SequenceDatabase& db,
   }
 }
 
+// The weighted miner at seeded random weights, multiples of 1/4 so every
+// sum is exact, a quarter of them zero, and Δ = δ/2: every reported
+// pattern weighs its brute-force weighted support, at least Δ, and
+// respects the length cap. With `complete`, so is every distinct
+// subsequence of a customer that weighs Δ or more.
+void ExpectRandomWeightsExact(const SequenceDatabase& db,
+                              const MineOptions& options,
+                              const std::string& who, bool complete) {
+  Rng rng(db.size() * 31 + options.min_support_count);
+  WeightedOptions weighted;
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    weighted.weights.push_back(
+        rng.NextBounded(4) == 0
+            ? 0.0
+            : 0.25 * static_cast<double>(1 + rng.NextBounded(8)));
+  }
+  weighted.min_weight = 0.5 * options.min_support_count;
+  weighted.max_length = options.max_length;
+  const WeightedPatternSet got = MineWeighted(db, weighted);
+  for (const auto& [pattern, weight] : got) {
+    EXPECT_EQ(weight, WeightedSupport(db, weighted.weights, pattern))
+        << who << " misweighs " << pattern.ToString();
+    EXPECT_GE(weight, weighted.min_weight) << who;
+    if (options.max_length != 0) {
+      EXPECT_LE(pattern.Length(), options.max_length) << who;
+    }
+  }
+  if (!complete) return;
+  std::set<Sequence, SequenceLess> candidates;
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    if (weighted.weights[cid] == 0.0) continue;
+    for (std::uint32_t k = 1; k <= db[cid].Length(); ++k) {
+      if (options.max_length != 0 && k > options.max_length) break;
+      for (Sequence& sub : AllDistinctKSubsequences(db[cid], k)) {
+        candidates.insert(std::move(sub));
+      }
+    }
+  }
+  std::size_t frequent = 0;
+  for (const Sequence& c : candidates) {
+    if (WeightedSupport(db, weighted.weights, c) < weighted.min_weight) {
+      continue;
+    }
+    ++frequent;
+    EXPECT_EQ(got.count(c), 1u) << who << " misses " << c.ToString();
+  }
+  EXPECT_EQ(got.size(), frequent) << who;
+}
+
 // Runs the reference and every DISC variant at threads 1 and 4, then the
 // weighted miner and the baselines (which ignore threads). Returns the
 // reference so callers can add shape-specific checks.
@@ -136,6 +190,8 @@ PatternSet ExpectMinersExact(const SequenceDatabase& db, MineOptions options,
     }
   }
   ExpectUnitWeightsMatch(db, options, reference, shape + " weighted" + delta);
+  ExpectRandomWeightsExact(db, options, shape + " random weights" + delta,
+                           /*complete=*/baselines == Baselines::kAll);
   options.threads = 1;
   std::vector<std::string> names = {"spade", "prefixspan"};
   if (baselines == Baselines::kAll) names.insert(names.end(), {"gsp", "spam"});

@@ -6,10 +6,11 @@
 // exact supports, and the canonical comparative-order serialization — so
 // any drift in an algorithm, the order, or the SPMF writer shows up as a
 // diff against a file in version control. Refresh a golden only for an
-// intentional contract change:
+// intentional contract change, by running
 //
-//   $ build/examples/seqmine tests/data/<db>.spmf --algo=disc-all \
-//         --delta=<delta> --out=tests/data/<db>.delta<delta>.golden.spmf
+//   $ build/examples/seqmine tests/data/<db>.spmf --algo=disc-all
+//
+// with --delta=<delta> --out=tests/data/<db>.delta<delta>.golden.spmf.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -51,7 +52,7 @@ std::string ReadFileOrDie(const std::string& path) {
 TEST(GoldenCorpus, EveryMinerMatchesGoldenAtOneAndFourThreads) {
   for (const Corpus& corpus : kCorpora) {
     SCOPED_TRACE(corpus.db);
-    const SequenceDatabase db = LoadSpmf(DataPath(corpus.db));
+    const SequenceDatabase db = TryLoadSpmf(DataPath(corpus.db)).value();
     const std::string golden = ReadFileOrDie(DataPath(corpus.golden));
     ASSERT_FALSE(golden.empty());
     MineOptions options;
@@ -74,7 +75,7 @@ TEST(GoldenCorpus, EveryMinerMatchesGoldenAtOneAndFourThreads) {
 TEST(GoldenCorpus, PackedDatabasesMatchGolden) {
   for (const Corpus& corpus : kCorpora) {
     SCOPED_TRACE(corpus.db);
-    const SequenceDatabase db = LoadSpmf(DataPath(corpus.db));
+    const SequenceDatabase db = TryLoadSpmf(DataPath(corpus.db)).value();
     const std::string golden = ReadFileOrDie(DataPath(corpus.golden));
     ASSERT_FALSE(golden.empty());
 

@@ -37,7 +37,9 @@ TEST(KminBrute, ResultsAreSortedAndContained) {
     for (std::size_t i = 0; i < all.size(); ++i) {
       EXPECT_EQ(all[i].Length(), k);
       EXPECT_TRUE(Contains(s, all[i]));
-      if (i > 0) EXPECT_LT(CompareSequences(all[i - 1], all[i]), 0);
+      if (i > 0) {
+        EXPECT_LT(CompareSequences(all[i - 1], all[i]), 0);
+      }
     }
   }
 }

@@ -25,11 +25,12 @@ TEST(RobustnessDeathTest, MalformedSequenceLiteralsAbort) {
 
 TEST(RobustnessDeathTest, MalformedSpmfAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(FromSpmfString("1 -2"), "closed");
-  EXPECT_DEATH(FromSpmfString("-1 -2"), "empty itemset");
-  EXPECT_DEATH(FromSpmfString("1 -1"), "unterminated");
-  EXPECT_DEATH(FromSpmfString("0 -1 -2"), "positive");
-  EXPECT_DEATH(LoadSpmf("/nonexistent/path/db.spmf"), "cannot open");
+  EXPECT_DEATH(TryFromSpmfString("1 -2").value(), "closed");
+  EXPECT_DEATH(TryFromSpmfString("-1 -2").value(), "empty itemset");
+  EXPECT_DEATH(TryFromSpmfString("1 -1").value(), "unterminated");
+  EXPECT_DEATH(TryFromSpmfString("0 -1 -2").value(), "positive");
+  EXPECT_DEATH(TryLoadSpmf("/nonexistent/path/db.spmf").value(),
+               "cannot open");
 }
 
 TEST(RobustnessDeathTest, MinerMisuseAborts) {
@@ -52,7 +53,8 @@ TEST(Robustness, SpmfRoundTripFuzz) {
     spec.max_items_per_txn =
         1 + static_cast<std::uint32_t>(rng.NextBounded(5));
     const SequenceDatabase db = testutil::RandomDatabase(rng.Next(), spec);
-    const SequenceDatabase back = FromSpmfString(ToSpmfString(db));
+    const SequenceDatabase back =
+        TryFromSpmfString(ToSpmfString(db)).value();
     ASSERT_EQ(back.size(), db.size());
     for (Cid cid = 0; cid < db.size(); ++cid) {
       ASSERT_EQ(back[cid], db[cid]);

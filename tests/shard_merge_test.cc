@@ -1,4 +1,4 @@
-// Sharded mining equivalence: MineSharded / MineShardFiles must be
+// Sharded mining equivalence: MineShardFiles over PackShards' files must be
 // byte-identical (ToSpmfPatternString) to the unsharded miner on the
 // committed golden corpus, across shard counts, thread counts, and both
 // DISC miners — the merge is a reproduction of the result, not an
@@ -36,6 +36,17 @@ const char* const kMiners[] = {"disc-all", "dynamic-disc-all"};
 
 std::string DataPath(const std::string& name) {
   return std::string(DISC_TEST_DATA_DIR) + "/" + name;
+}
+
+// Packs `db` into `shards` shard files next to the temp base `name` and
+// returns their paths.
+std::vector<std::string> Pack(const SequenceDatabase& db,
+                              const std::string& name, std::uint32_t shards) {
+  std::vector<std::string> paths;
+  const Status packed =
+      PackShards(db, ::testing::TempDir() + "/" + name, shards, &paths);
+  EXPECT_TRUE(packed.ok()) << packed.ToString();
+  return paths;
 }
 
 TEST(PlanShards, CoversTheAlphabetContiguously) {
@@ -114,7 +125,13 @@ TEST(ShardPath, EncodesIndexAndCount) {
 TEST(ShardMerge, MineShardedIsByteIdenticalOnGoldenCorpus) {
   for (const Corpus& corpus : kCorpora) {
     SCOPED_TRACE(corpus.db);
-    const SequenceDatabase db = LoadSpmf(DataPath(corpus.db));
+    const SequenceDatabase db = TryLoadSpmf(DataPath(corpus.db)).value();
+    const std::uint32_t shard_counts[] = {1, 2, 4, 8};
+    std::vector<std::vector<std::string>> packs;
+    for (const std::uint32_t shards : shard_counts) {
+      packs.push_back(
+          Pack(db, std::string("golden_") + corpus.db + ".dsa", shards));
+    }
     MineOptions options;
     options.min_support_count = corpus.delta;
     for (const char* miner : kMiners) {
@@ -125,9 +142,9 @@ TEST(ShardMerge, MineShardedIsByteIdenticalOnGoldenCorpus) {
         MineResult unsharded = CreateMiner(miner)->TryMine(db, options);
         ASSERT_TRUE(unsharded.status.ok());
         const std::string want = ToSpmfPatternString(unsharded.patterns);
-        for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-          SCOPED_TRACE("shards=" + std::to_string(shards));
-          MineResult sharded = MineSharded(db, miner, options, shards);
+        for (std::size_t i = 0; i < packs.size(); ++i) {
+          SCOPED_TRACE("shards=" + std::to_string(shard_counts[i]));
+          MineResult sharded = MineShardFiles(packs[i], miner, options);
           ASSERT_TRUE(sharded.status.ok()) << sharded.status.ToString();
           EXPECT_EQ(ToSpmfPatternString(sharded.patterns), want);
         }
@@ -140,7 +157,7 @@ TEST(ShardMerge, MineShardedIsByteIdenticalOnGoldenCorpus) {
 // time, same bytes out.
 TEST(ShardMerge, MineShardFilesIsByteIdenticalOnGoldenCorpus) {
   const Corpus& corpus = kCorpora[1];  // quest_mid
-  const SequenceDatabase db = LoadSpmf(DataPath(corpus.db));
+  const SequenceDatabase db = TryLoadSpmf(DataPath(corpus.db)).value();
   MineOptions options;
   options.min_support_count = corpus.delta;
 
@@ -229,13 +246,15 @@ TEST(ShardMerge, ShardedMiningOnTinyEdgeDatabases) {
   options.min_support_count = 1;
   // Empty database: nothing to mine, nothing to crash on.
   const SequenceDatabase empty;
-  MineResult r = MineSharded(empty, "disc-all", options, 4);
+  MineResult r =
+      MineShardFiles(Pack(empty, "shard_empty.dsa", 4), "disc-all", options);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.patterns.size(), 0u);
 
   // Single-item database across more shards than items.
   const SequenceDatabase one = MakeDatabase({"(a)", "(a)"});
-  MineResult r1 = MineSharded(one, "disc-all", options, 8);
+  MineResult r1 =
+      MineShardFiles(Pack(one, "shard_one.dsa", 8), "disc-all", options);
   ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
   MineResult direct = CreateMiner("disc-all")->TryMine(one, options);
   EXPECT_EQ(ToSpmfPatternString(r1.patterns),

@@ -7,10 +7,12 @@
 # (cache hits, byte-identical repeats, stop/cancel/drain byte-prefix,
 # load shedding, net.* chaos loop), the storage CLI smoke (.dsa pack/shard
 # round trips, corruption exit codes, pack atomicity — under ASan), the
-# benchmark regression gate for the .dsa load path, then the telemetry-cost
-# check (instrumented vs DISC_ENABLE_OBS=OFF CPU pairs for disc-all and
-# pseudo). Each check uses its own build directory, so repeat runs are
-# incremental.
+# benchmark regression gate for the .dsa load path, the full ctest suite
+# in a Release build with DISC_ENABLE_OBS=OFF (the build the next check
+# times: compiling telemetry out must change no pattern or output), then
+# the telemetry-cost check (instrumented vs DISC_ENABLE_OBS=OFF CPU pairs
+# for disc-all and pseudo). Each check uses its own build directory, so
+# repeat runs are incremental.
 #
 #   $ tools/check_all.sh
 set -euo pipefail
@@ -24,6 +26,10 @@ cd "$(dirname "$0")"
 ./check_server.sh ../build-asan/examples/seqmined ../build-asan/examples/seqmine
 ./check_storage.sh ../build-asan/examples/seqmine ../build-asan/examples/seqmined
 ./check_perf.sh
+cmake -B ../build-obs-off -S .. -DCMAKE_BUILD_TYPE=Release \
+  -DDISC_ENABLE_OBS=OFF >/dev/null
+cmake --build ../build-obs-off -j "$(nproc)"
+(cd ../build-obs-off && ctest --output-on-failure -j "$(nproc)")
 ./check_obs_cost.sh
 
 echo "all checks passed"
