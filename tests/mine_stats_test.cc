@@ -42,8 +42,11 @@ SequenceDatabase PlantedDb() {
   for (int i = 0; i < 30; ++i) {
     std::string s;
     if (i % 3 != 0) s += "(a)(b)(c)(d)(e)";
-    s += "(" + std::string(1, static_cast<char>('f' + i % 5)) + ")";
-    s += "(" + std::string(1, static_cast<char>('k' + i % 7)) + ")";
+    s += '(';
+    s += static_cast<char>('f' + i % 5);
+    s += ")(";
+    s += static_cast<char>('k' + i % 7);
+    s += ')';
     db.Add(ParseSequence(s));
   }
   return db;
