@@ -41,6 +41,10 @@ class Context {
   }
 
   ~Context() {
+    DISC_OBS_ADD(g_nodes, nodes_);
+    DISC_OBS_ADD(g_points, projection_points_);
+    DISC_OBS_ADD(g_projected_db, projected_db_size_);
+    DISC_OBS_ADD(g_materialized, materialized_);
     DISC_OBS_ADD(g_support_inc, support_increments_);
     DISC_OBS_ADD(g_support_inc_k4, support_increments_k4_);
   }
@@ -52,46 +56,50 @@ class Context {
     if (db_.empty() || options_.min_support_count > db_.size()) {
       return std::move(out_);
     }
-    // Frequent 1-sequences: count distinct items per sequence.
-    for (const SequenceView s : db_) {
+    // Frequent 1-sequences: one scan records, per item, the customers that
+    // contain it (about 4 bytes per (customer, distinct item)); an item's
+    // support is the length of its list.
+    std::vector<std::vector<Cid>> containing(db_.max_item() + 1);
+    for (Cid cid = 0; cid < db_.size(); ++cid) {
       ++tag_;
-      for (const Item x : s.items()) {
+      for (const Item x : db_[cid].items()) {
         if (s_seen_[x] != tag_) {
           s_seen_[x] = tag_;
-          if (s_count_[x]++ == 0) touched_s_.push_back(x);
+          if (containing[x].empty()) touched_s_.push_back(x);
+          containing[x].push_back(cid);
           CountSupportIncrement();
         }
       }
     }
-    std::vector<std::pair<Item, std::uint32_t>> freq_items;
+    std::vector<Item> freq_items;
     std::sort(touched_s_.begin(), touched_s_.end());
     for (const Item x : touched_s_) {
-      if (s_count_[x] >= options_.min_support_count) {
-        freq_items.emplace_back(x, s_count_[x]);
+      if (containing[x].size() >= options_.min_support_count) {
+        freq_items.push_back(x);
+      } else {
+        std::vector<Cid>().swap(containing[x]);
       }
-      s_count_[x] = 0;
     }
     touched_s_.clear();
 
-    for (const auto& [x, support] : freq_items) {
+    for (const Item x : freq_items) {
       Sequence prefix;
       prefix.AppendNewItemset(x);
-      out_.Add(prefix, support);
+      out_.Add(prefix, static_cast<std::uint32_t>(containing[x].size()));
       if (options_.max_length == 1) continue;
-      // Project on the leftmost occurrence of x in each sequence.
+      // Project on the leftmost occurrence of x in each sequence containing
+      // it; the projection then replaces the list.
       std::vector<Point> points;
-      points.reserve(support);
-      for (const SequenceView s : db_) {
-        for (std::uint32_t t = 0; t < s.NumTransactions(); ++t) {
-          if (!s.TxnContains(t, x)) continue;
-          const Item* pos = std::lower_bound(s.TxnBegin(t), s.TxnEnd(t), x);
-          points.push_back(
-              {s, t,
-               static_cast<std::uint32_t>(pos - s.TxnBegin(t)) + 1});
-          break;
-        }
+      points.reserve(containing[x].size());
+      for (const Cid cid : containing[x]) {
+        const SequenceView s = db_[cid];
+        std::uint32_t t = 0;
+        while (!s.TxnContains(t, x)) ++t;
+        const Item* pos = std::lower_bound(s.TxnBegin(t), s.TxnEnd(t), x);
+        points.push_back(
+            {s, t, static_cast<std::uint32_t>(pos - s.TxnBegin(t)) + 1});
       }
-      DISC_CHECK(points.size() == support);
+      std::vector<Cid>().swap(containing[x]);
       Recurse(prefix, {x}, points);
     }
     return std::move(out_);
@@ -106,10 +114,10 @@ class Context {
     if (options_.max_length != 0 && prefix.Length() >= options_.max_length) {
       return;
     }
-    DISC_OBS_INC(g_nodes);
-    DISC_OBS_ADD(g_points, points.size());
-    DISC_OBS_RECORD(g_projected_db, points.size());
 #if DISC_OBS_ENABLED
+    ++nodes_;
+    projection_points_ += points.size();
+    projected_db_size_.Record(points.size());
     // Length of the patterns the Mark* calls below are counting support for.
     counting_length_ = prefix.Length() + 1;
 #endif
@@ -248,14 +256,16 @@ class Context {
 
   // Copies the suffix of the pointed-to sequence (whole transactions from
   // the point's transaction onward) into the arena and re-targets the point.
-  static Point Materialize(const Point& p, std::deque<Sequence>* arena) {
+  Point Materialize(const Point& p, std::deque<Sequence>* arena) {
     const SequenceView s = p.seq;
     Sequence copy;
     for (std::uint32_t t = p.txn; t < s.NumTransactions(); ++t) {
       copy.AppendItemset(s.TxnItemset(t));
     }
     arena->push_back(std::move(copy));
-    DISC_OBS_INC(g_materialized);
+#if DISC_OBS_ENABLED
+    ++materialized_;
+#endif
     return {arena->back(), 0, p.next_i};
   }
 
@@ -273,9 +283,9 @@ class Context {
     CountSupportIncrement();
   }
 
-  // Support increments are tallied per run and published once, when the
-  // context dies: a shared atomic bump per increment would make this
-  // yardstick pay for the instrumentation.
+  // Work counts are tallied per run and published once, when the context
+  // dies: a shared atomic bump per event would make this yardstick pay for
+  // the instrumentation.
   void CountSupportIncrement() {
 #if DISC_OBS_ENABLED
     ++support_increments_;
@@ -295,6 +305,10 @@ class Context {
   std::uint64_t tag_ = 0;
 #if DISC_OBS_ENABLED
   std::uint32_t counting_length_ = 1;
+  std::uint64_t nodes_ = 0;
+  std::uint64_t projection_points_ = 0;
+  obs::HistogramTally projected_db_size_;
+  std::uint64_t materialized_ = 0;
   std::uint64_t support_increments_ = 0;
   std::uint64_t support_increments_k4_ = 0;
 #endif

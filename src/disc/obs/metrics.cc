@@ -22,13 +22,29 @@ void Histogram::Record(std::uint64_t v) {
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
+  Widen(v, v);
+}
+
+void Histogram::Add(const HistogramTally& tally) {
+  if (tally.count == 0) return;
+  count_.fetch_add(tally.count, std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum, std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    if (tally.buckets[b] != 0) {
+      buckets_[b].fetch_add(tally.buckets[b], std::memory_order_relaxed);
+    }
+  }
+  Widen(tally.min, tally.max);
+}
+
+void Histogram::Widen(std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (v < cur && !min_.compare_exchange_weak(cur, v,
-                                                std::memory_order_relaxed)) {
+  while (lo < cur && !min_.compare_exchange_weak(cur, lo,
+                                                 std::memory_order_relaxed)) {
   }
   cur = max_.load(std::memory_order_relaxed);
-  while (v > cur && !max_.compare_exchange_weak(cur, v,
-                                                std::memory_order_relaxed)) {
+  while (hi > cur && !max_.compare_exchange_weak(cur, hi,
+                                                 std::memory_order_relaxed)) {
   }
 }
 

@@ -23,6 +23,7 @@
 #define DISC_OBS_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -90,6 +91,8 @@ class Gauge {
   std::atomic<std::uint64_t> tick_{0};  // 0 = never set
 };
 
+struct HistogramTally;
+
 /// Power-of-two bucketed histogram for sizes and latencies. Bucket b counts
 /// values v with bit_width(v) == b, i.e. bucket 0 holds v == 0, bucket 1
 /// holds v == 1, bucket 2 holds 2..3, bucket 3 holds 4..7, ...
@@ -101,6 +104,9 @@ class Histogram {
   static constexpr std::size_t kBuckets = 65;
 
   void Record(std::uint64_t v);
+  /// Publishes a tally: afterwards every field reads as if each value the
+  /// tally recorded had been passed to Record.
+  void Add(const HistogramTally& tally);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -115,11 +121,31 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   static constexpr std::uint64_t kNoMin = ~std::uint64_t{0};
+  /// Lowers min_ to `lo` and raises max_ to `hi` where they widen the range.
+  void Widen(std::uint64_t lo, std::uint64_t hi);
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{kNoMin};
   std::atomic<std::uint64_t> max_{0};
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
+};
+
+/// A single-threaded Histogram in plain fields: a hot loop records into it
+/// and publishes once with Histogram::Add, paying no atomic per value.
+struct HistogramTally {
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = ~std::uint64_t{0};
+  std::uint64_t max = 0;
+  std::uint64_t buckets[Histogram::kBuckets] = {};
+
+  void Record(std::uint64_t v) {
+    ++count;
+    sum += v;
+    ++buckets[std::bit_width(v)];
+    if (v < min) min = v;
+    if (v > max) max = v;
+  }
 };
 
 /// A point-in-time copy of every counter (and histogram aggregate) plus the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "disc/obs/mine_stats.h"
 #include "disc/seq/containment.h"
 #include "test_util.h"
 
@@ -86,6 +87,38 @@ TEST(PrefixSpan, ItemsetExtensionViaLaterTransaction) {
       PrefixSpan(PrefixSpan::Projection::kPseudo).Mine(db, options);
   EXPECT_EQ(got.SupportOf(Seq("(a)(c,z)")), 2u);
 }
+
+#if DISC_OBS_ENABLED
+TEST(PrefixSpan, WorkCountsFollowTheRecursion) {
+  // One node per frequent pattern, whose projection holds one point per
+  // sequence supporting it; physical projection copies every point below
+  // level 1. The run tallies these and publishes them once.
+  const SequenceDatabase db = testutil::RandomDatabase(73);
+  MineOptions options;
+  options.min_support_count = 3;
+  for (const auto mode :
+       {PrefixSpan::Projection::kPseudo, PrefixSpan::Projection::kPhysical}) {
+    PrefixSpan miner(mode);
+    const PatternSet got = miner.Mine(db, options);
+    ASSERT_FALSE(got.empty());
+    std::uint64_t points = 0;
+    std::uint64_t deeper_points = 0;
+    for (const auto& [p, sup] : got) {
+      points += sup;
+      if (p.Length() > 1) deeper_points += sup;
+    }
+    const obs::MineStats& stats = miner.last_stats();
+    EXPECT_EQ(stats.Counter("prefixspan.nodes"), got.size()) << miner.name();
+    EXPECT_EQ(stats.Counter("prefixspan.projection_points"), points);
+    EXPECT_EQ(stats.Counter("prefixspan.projected_db_size.count"),
+              got.size());
+    EXPECT_EQ(stats.Counter("prefixspan.projected_db_size.sum"), points);
+    EXPECT_EQ(stats.Counter("prefixspan.materialized_sequences"),
+              mode == PrefixSpan::Projection::kPhysical ? deeper_points : 0)
+        << miner.name();
+  }
+}
+#endif
 
 TEST(PrefixSpan, NamesAreStable) {
   EXPECT_EQ(PrefixSpan(PrefixSpan::Projection::kPhysical).name(),
