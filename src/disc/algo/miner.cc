@@ -35,7 +35,10 @@ MineResult Miner::TryMine(const SequenceDatabase& db,
   telemetry_ = obs::RunRegistry::Global().Begin(name(), db.size());
 #endif
   obs::StatsHarvest harvest;
-  obs::ScopedSpan span("mine/" + name());
+  // The span name is built only when the tracer records it.
+  std::string span_name;
+  if (obs::Tracer::Global().enabled()) span_name = "mine/" + name();
+  obs::ScopedSpan span(span_name.c_str());
   Timer timer;
   try {
     result.patterns = DoMine(db, options);

@@ -102,13 +102,14 @@ class Tracer {
 };
 
 /// RAII span: opens on construction (when the tracer is enabled), closes on
-/// destruction.
+/// destruction. The name is copied only when the span opens, so a disabled
+/// tracer costs no allocation.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string name) {
+  explicit ScopedSpan(const char* name) {
     if (Tracer::Global().enabled()) {
       active_ = true;
-      Tracer::Global().Begin(std::move(name));
+      Tracer::Global().Begin(name);
     }
   }
   ~ScopedSpan() {
@@ -128,9 +129,9 @@ class ScopedSpan {
 #define DISC_OBS_SPAN_CONCAT(a, b) DISC_OBS_SPAN_CONCAT2(a, b)
 
 #if DISC_OBS_ENABLED
-/// Opens a span for the rest of the enclosing scope. `name` may be any
-/// std::string expression; it is evaluated even when tracing is disabled at
-/// runtime, so keep it cheap on hot paths.
+/// Opens a span for the rest of the enclosing scope. `name` is a
+/// `const char*`, typically a literal; it is copied only when the tracer is
+/// enabled.
 #define DISC_OBS_SPAN(name) \
   ::disc::obs::ScopedSpan DISC_OBS_SPAN_CONCAT(disc_obs_span_, __LINE__)(name)
 #else

@@ -4,10 +4,12 @@
 
 #include <cmath>
 
+#include "disc/algo/miner.h"
 #include "disc/obs/json.h"
 #include "disc/obs/metrics.h"
 #include "disc/obs/mine_stats.h"
 #include "disc/obs/trace.h"
+#include "test_util.h"
 
 namespace disc {
 namespace obs {
@@ -54,6 +56,29 @@ TEST_F(ObsTest, HistogramBucketsByPowerOfTwo) {
   EXPECT_EQ(h->buckets()[1], 1u);  // v == 1
   EXPECT_EQ(h->buckets()[2], 2u);  // v in 2..3
   EXPECT_EQ(h->buckets()[3], 1u);  // v in 4..7
+}
+
+TEST_F(ObsTest, HistogramTallyPublishesAsRecordWould) {
+  Histogram* recorded = MetricsRegistry::Global().histogram("test.recorded");
+  Histogram* added = MetricsRegistry::Global().histogram("test.added");
+  added->Add(HistogramTally{});
+  EXPECT_EQ(added->count(), 0u) << "an empty tally publishes nothing";
+  EXPECT_EQ(added->min(), 0u);
+  HistogramTally tally;
+  for (const std::uint64_t v : {5u, 0u, 1u, 9u, 3u, 1000u, 9u}) {
+    recorded->Record(v);
+    tally.Record(v);
+  }
+  added->Record(4);
+  recorded->Record(4);
+  added->Add(tally);
+  EXPECT_EQ(added->count(), recorded->count());
+  EXPECT_EQ(added->sum(), recorded->sum());
+  EXPECT_EQ(added->min(), 0u);
+  EXPECT_EQ(added->max(), 1000u);
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(added->buckets()[b], recorded->buckets()[b]) << "bucket " << b;
+  }
 }
 
 TEST_F(ObsTest, HarvestReportsOnlyDeltasAndFreshGauges) {
@@ -146,6 +171,29 @@ TEST_F(ObsTest, SpansNestAndRecordDepth) {
   EXPECT_EQ(outer.depth, 0u);
   EXPECT_GE(inner.start_us, outer.start_us);
   EXPECT_LE(inner.start_us + inner.dur_us, outer.start_us + outer.dur_us);
+}
+
+TEST_F(ObsTest, SpanCopiesItsNameWhenItOpens) {
+  Tracer::Global().set_enabled(true);
+  char name[] = "mine/pseudo";
+  {
+    ScopedSpan span(name);
+    name[0] = 'X';
+  }
+  ASSERT_EQ(Tracer::Global().events().size(), 1u);
+  EXPECT_EQ(Tracer::Global().events()[0].name, "mine/pseudo");
+}
+
+TEST_F(ObsTest, TracedMineSpanIsNamedAfterTheMiner) {
+  const SequenceDatabase db = testutil::Table1Database();
+  MineOptions options;
+  options.min_support_count = 2;
+  CreateMiner("pseudo")->Mine(db, options);
+  EXPECT_TRUE(Tracer::Global().events().empty());
+  Tracer::Global().set_enabled(true);
+  CreateMiner("pseudo")->Mine(db, options);
+  ASSERT_FALSE(Tracer::Global().events().empty());
+  EXPECT_EQ(Tracer::Global().events().back().name, "mine/pseudo");
 }
 
 TEST_F(ObsTest, DisabledTracerRecordsNothing) {
