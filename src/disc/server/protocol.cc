@@ -200,7 +200,9 @@ std::string ProtocolUsage() {
       "  mine [--minsup <f> | --delta <n>] [--algo <name>] [--threads <n>]\n"
       "       [--deadline-ms <n>] [--max-length <n>] [--cancel-after <n>]\n"
       "                               mine the loaded database (default "
-      "--minsup 0.01)\n"
+      "--minsup 0.01;\n"
+      "                               --threads 0, the default, uses every "
+      "core)\n"
       "  stop                         cancel the in-flight mine (partial "
       "result)\n"
       "  stat                         engine, cache, and live-run status\n"

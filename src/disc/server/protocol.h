@@ -43,7 +43,9 @@ struct MineArgs {
   /// Absolute support-count threshold; < 0 means "use minsup".
   std::int64_t delta = -1;
   std::string algo = "disc-all";
-  std::uint32_t threads = 1;
+  /// Mining threads; 0 = one per hardware thread (MineOptions::threads).
+  /// The output is byte-identical at any count.
+  std::uint32_t threads = 0;
   std::uint64_t deadline_ms = 0;
   std::uint32_t max_length = 0;
   std::uint64_t cancel_after = kNoCancelAfter;

@@ -66,7 +66,7 @@ TEST(ParseCommandTest, MineDefaults) {
   EXPECT_DOUBLE_EQ(cmd->mine.minsup, 0.01);
   EXPECT_EQ(cmd->mine.delta, -1);
   EXPECT_EQ(cmd->mine.algo, "disc-all");
-  EXPECT_EQ(cmd->mine.threads, 1u);
+  EXPECT_EQ(cmd->mine.threads, 0u) << "every core by default";
   EXPECT_EQ(cmd->mine.deadline_ms, 0u);
   EXPECT_EQ(cmd->mine.cancel_after, kNoCancelAfter);
 }
@@ -200,10 +200,12 @@ TEST_F(ServerSessionTest, SameMinsupTwiceIsByteIdenticalAndHitsCache) {
 }
 
 TEST_F(ServerSessionTest, CancelAfterReportsPartialBytePrefix) {
-  const auto lines =
-      Serve("load " + db_path_ +
-            "\nmine --minsup 0.05\nmine --minsup 0.05 --cancel-after 2\n"
-            "quit\n");
+  // --cancel-after counts checkpoints, which cut at one place only on a
+  // serial run.
+  const auto lines = Serve("load " + db_path_ +
+                           "\nmine --minsup 0.05\n"
+                           "mine --minsup 0.05 --threads 1 --cancel-after 2\n"
+                           "quit\n");
   std::string full_header, partial_header;
   const auto full = MineBlock(lines, 0, &full_header);
   const auto partial = MineBlock(lines, 1, &partial_header);

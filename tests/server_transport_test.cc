@@ -170,7 +170,8 @@ TEST_F(SocketTransportTest, PerClientLimitShedsWithBusyLineThenRecovers) {
   ConnectReady(&first, UnixAddress());
   ConnectReady(&second, UnixAddress());
 
-  first.Send("mine --minsup 0.1");
+  // One thread: a parallel mine would queue a delayed task per partition.
+  first.Send("mine --minsup 0.1 --threads 1");
   ASSERT_TRUE(WaitUntil([&] {
     return transport_->admission().snapshot().active >= 1;
   })) << "first mine never took its admission slot";
@@ -208,7 +209,9 @@ TEST_F(SocketTransportTest, MidMineDisconnectCancelsSessionAndReleasesSlot) {
   {
     Client client;
     ConnectReady(&client, UnixAddress());
-    client.Send("mine --minsup 0.1");
+    // One thread: a parallel mine would queue a delayed task per partition,
+    // each sleeping before it sees the cancellation.
+    client.Send("mine --minsup 0.1 --threads 1");
     ASSERT_TRUE(WaitUntil([&] {
       return transport_->admission().snapshot().active >= 1;
     }));
@@ -247,8 +250,10 @@ TEST_F(SocketTransportTest, DrainDeliversBytePrefixPartialThenExitsZero) {
   // Same query pinned in flight, then drain (what SIGTERM triggers via
   // InstallDrainSignalHandlers). The client must still receive its
   // response — a byte-prefix of the full block — before the server exits.
+  // One thread: a parallel mine would queue a delayed task per partition,
+  // each sleeping before it sees the drain.
   ASSERT_TRUE(failpoint::Configure("pool.task=delay:500").ok());
-  client.Send("mine --minsup 0.05");
+  client.Send("mine --minsup 0.05 --threads 1");
   ASSERT_TRUE(WaitUntil([&] {
     return transport_->admission().snapshot().active >= 1;
   }));

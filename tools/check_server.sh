@@ -6,6 +6,8 @@
 #   * mining the same --minsup twice in one session yields byte-identical
 #     pattern blocks, with cache=miss on the first response, cache=hit on
 #     the second, and `stat` reporting disc.cache hits >= 1;
+#   * a default mine (every core) and a --threads 1 mine return the same
+#     block byte for byte;
 #   * a --cancel-after run reports status=partial reason=cancelled and its
 #     pattern block is an exact byte-prefix of the full run's block;
 #   * a live `stop` sent mid-mine (mining slowed via the pool.task delay
@@ -100,11 +102,14 @@ grep -E '^info cache hits=[1-9]' "$WORK/conv1.txt" >/dev/null \
   || fail "stat does not report cache hits >= 1"
 
 # --- session 2: deterministic partial via --cancel-after -----------------
-printf 'load %s\nmine --minsup 0.05\nquit\n' "$DATA" \
-  | "$SEQMINED" > "$WORK/full.txt" \
+# A default request mines on every core; its block must equal a serial
+# run's byte for byte. The --cancel-after cut is deterministic only on a
+# serial run, so that request names --threads 1.
+printf 'load %s\nmine --minsup 0.05\nmine --minsup 0.05 --threads 1\nquit\n' \
+  "$DATA" | "$SEQMINED" > "$WORK/full.txt" \
   || fail "full-run session exited $? (expected 0)"
-printf 'load %s\nmine --minsup 0.05 --cancel-after 5\nquit\n' "$DATA" \
-  | "$SEQMINED" > "$WORK/partial.txt" \
+printf 'load %s\nmine --minsup 0.05 --threads 1 --cancel-after 5\nquit\n' \
+  "$DATA" | "$SEQMINED" > "$WORK/partial.txt" \
   || fail "cancel-after session exited $? (expected 0)"
 
 mine_header "$WORK/partial.txt" 1 \
@@ -112,8 +117,11 @@ mine_header "$WORK/partial.txt" 1 \
   || fail "--cancel-after response is not status=partial reason=cancelled"
 
 mine_block "$WORK/full.txt" 1 > "$WORK/full_block.txt"
+mine_block "$WORK/full.txt" 2 > "$WORK/serial_block.txt"
 mine_block "$WORK/partial.txt" 1 > "$WORK/partial_block.txt"
 [[ -s "$WORK/full_block.txt" ]] || fail "full mine block is empty"
+cmp -s "$WORK/full_block.txt" "$WORK/serial_block.txt" \
+  || fail "default-threads block differs from the --threads 1 block"
 head -c "$(wc -c < "$WORK/partial_block.txt")" "$WORK/full_block.txt" \
   | cmp -s - "$WORK/partial_block.txt" \
   || fail "--cancel-after block is not a byte-prefix of the full block"
@@ -196,12 +204,13 @@ if [[ -x "$SEQMINE" ]]; then
   # means the second connection (same uid) must be shed. A zero-retry
   # client surfaces the err busy line; a retrying client waits it out.
   # The delay and settle sleeps are generous so the ordering holds under
-  # sanitizer slowdowns (check_tsan.sh runs this same script).
+  # sanitizer slowdowns (check_tsan.sh runs this same script). The mines
+  # name --threads 1: a parallel mine queues a delayed task per partition.
   if DISC_FAILPOINTS=pool.task=delay:4000 \
      start_server "$WORK/s2.sock" --per-client 1; then
     rc_pin=0 rc_busy=0 rc_retry=0
     "$SEQMINE" --connect "unix:$WORK/s2.sock" "$DATA" --minsup 0.05 \
-      --quiet > "$WORK/sock_pin.txt" 2>/dev/null &
+      --threads 1 --quiet > "$WORK/sock_pin.txt" 2>/dev/null &
     CLIENT_PIN=$!
     sleep 1.5  # the pinned mine is admitted and sleeping in its pool task
     "$SEQMINE" --connect "unix:$WORK/s2.sock" "$DATA" --minsup 0.05 \
@@ -213,7 +222,7 @@ if [[ -x "$SEQMINE" ]]; then
     grep -q 'reason=client' "$WORK/busy_err.txt" \
       || fail "shed reason is not the per-client limit"
     "$SEQMINE" --connect "unix:$WORK/s2.sock" "$DATA" --minsup 0.05 \
-      --retries 10 --retry-base-ms 50 --quiet \
+      --threads 1 --retries 10 --retry-base-ms 50 --quiet \
       > "$WORK/sock_retry.txt" 2>/dev/null || rc_retry=$?
     wait "$CLIENT_PIN" || rc_pin=$?
     [[ "$rc_pin" -eq 0 ]] || fail "pinned client exited $rc_pin (expected 0)"
@@ -225,11 +234,12 @@ if [[ -x "$SEQMINE" ]]; then
   fi
 
   # --- socket 3: SIGTERM drain => byte-prefix partial, exit 0 ------------
+  # One thread, as in socket 2.
   if DISC_FAILPOINTS=pool.task=delay:4000 \
      start_server "$WORK/s3.sock" --drain-deadline-ms 15000; then
     rc_drain=0
     "$SEQMINE" --connect "unix:$WORK/s3.sock" "$DATA" --minsup 0.05 \
-      --quiet > "$WORK/drain_block.txt" 2>/dev/null &
+      --threads 1 --quiet > "$WORK/drain_block.txt" 2>/dev/null &
     CLIENT_DRAIN=$!
     sleep 1.5  # mine admitted, pinned in its delayed pool task
     stop_server "drain server"
