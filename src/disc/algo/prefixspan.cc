@@ -65,30 +65,21 @@ class Context {
       for (const Item x : db_[cid].items()) {
         if (s_seen_[x] != tag_) {
           s_seen_[x] = tag_;
-          if (containing[x].empty()) touched_s_.push_back(x);
           containing[x].push_back(cid);
           CountSupportIncrement();
         }
       }
     }
-    std::vector<Item> freq_items;
-    std::sort(touched_s_.begin(), touched_s_.end());
-    for (const Item x : touched_s_) {
-      if (containing[x].size() >= options_.min_support_count) {
-        freq_items.push_back(x);
-      } else {
-        std::vector<Cid>().swap(containing[x]);
-      }
-    }
-    touched_s_.clear();
 
-    for (const Item x : freq_items) {
+    for (Item x = 0; x <= db_.max_item(); ++x) {
+      if (containing[x].size() < options_.min_support_count) continue;
       Sequence prefix;
       prefix.AppendNewItemset(x);
       out_.Add(prefix, static_cast<std::uint32_t>(containing[x].size()));
       if (options_.max_length == 1) continue;
       // Project on the leftmost occurrence of x in each sequence containing
-      // it; the projection then replaces the list.
+      // it; the projection then replaces the list. (An infrequent item's
+      // list holds fewer than delta customers, so those lists stay.)
       std::vector<Point> points;
       points.reserve(containing[x].size());
       for (const Cid cid : containing[x]) {

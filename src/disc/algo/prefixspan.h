@@ -12,7 +12,10 @@
 // standard postfix rules (items after the projection point extend the last
 // itemset; a later transaction containing the whole last itemset contributes
 // its larger items as itemset extensions; any item in a strictly later
-// transaction is a sequence extension).
+// transaction is a sequence extension). The level-1 projections come from
+// the scan that counts the frequent items: it records each item's
+// containing sequences, so building them costs one pass over the database
+// rather than one per frequent item.
 #ifndef DISC_ALGO_PREFIXSPAN_H_
 #define DISC_ALGO_PREFIXSPAN_H_
 
