@@ -46,7 +46,8 @@ bool ChildSlots::Enroll(
 namespace {
 
 // Minimum point of a <(λ)>-partition member: the leftmost transaction
-// containing λ (λ is the member's minimum frequent item, so it exists).
+// containing λ (a member is a customer sequence that contains λ, so it
+// exists).
 std::uint32_t MinTxnOf(SequenceView s, Item lambda) {
   for (std::uint32_t t = 0; t < s.NumTransactions(); ++t) {
     if (s.TxnContains(t, lambda)) return t;

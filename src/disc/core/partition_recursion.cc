@@ -337,13 +337,15 @@ class Recursion {
     pat1.AppendNewItemset(lambda);
 
     // Frequent 2-sequences with prefix λ, in one counting-array scan of
-    // the original sequences (§3.1).
+    // the original sequences (§3.1), one pass per member from λ's first
+    // transaction.
     CountingArray& counts = scratch->counts;
     counts.Reset();
     for (const Cid cid : cids) {
-      ForEachExtension(db_[cid], pat1, [&counts, cid](Item x, ExtType type) {
-        counts.Add(x, type, cid);
-      });
+      ForEachExtensionOfItem(db_[cid], lambda,
+                             [&counts, cid](Item x, ExtType type) {
+                               counts.Add(x, type, cid);
+                             });
     }
     Level& level = scratch->level(1);
     counts.FrequentExtensions(delta_, &level.freq);

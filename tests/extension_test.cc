@@ -134,10 +134,23 @@ TEST(ScanMinExtension, MatchesFullScan) {
   }
 }
 
+// Every (item, type) occurrence `scan` reports, sorted.
+template <typename Scan>
+std::vector<std::pair<Item, ExtType>> Occurrences(Scan&& scan) {
+  std::vector<std::pair<Item, ExtType>> out;
+  scan([&out](Item z, ExtType type) { out.emplace_back(z, type); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 // Property: z is in the i-/s-extension set iff the extended pattern is
-// contained (brute-force containment as the oracle).
+// contained (brute-force containment as the oracle). The one-item form
+// ForEachExtensionOfItem yields ScanExtensions' sets for ⟨(x)⟩ and exactly
+// ForEachExtension's occurrences, which a counting array's probe count
+// depends on.
 TEST(ExtensionScan, MatchesContainmentOracle) {
   Rng rng(1234);
+  int absent = 0;
   for (int trial = 0; trial < 250; ++trial) {
     const Sequence s = testutil::RandomSequence(&rng, 6, 4, 3);
     // Random small pattern.
@@ -160,7 +173,29 @@ TEST(ExtensionScan, MatchesContainmentOracle) {
           << "s-ext " << z << " of " << pattern.ToString() << " in "
           << s.ToString();
     }
+    for (Item x = 1; x <= 6; ++x) {
+      Sequence pat1;
+      pat1.AppendNewItemset(x);
+      const ExtensionSets want = ScanExtensions(s, pat1);
+      if (!want.contained) ++absent;
+      const auto got = Occurrences(
+          [&](auto&& fn) { ForEachExtensionOfItem(s, x, fn); });
+      ExtensionSets got_sets;
+      for (const auto& [z, type] : got) {
+        std::vector<Item>& set =
+            type == ExtType::kItemset ? got_sets.i_items : got_sets.s_items;
+        if (set.empty() || set.back() != z) set.push_back(z);
+      }
+      EXPECT_EQ(got_sets.i_items, want.i_items)
+          << "i-exts of " << pat1.ToString() << " in " << s.ToString();
+      EXPECT_EQ(got_sets.s_items, want.s_items)
+          << "s-exts of " << pat1.ToString() << " in " << s.ToString();
+      EXPECT_EQ(got, Occurrences(
+                         [&](auto&& fn) { ForEachExtension(s, pat1, fn); }))
+          << pat1.ToString() << " in " << s.ToString();
+    }
   }
+  EXPECT_GT(absent, 0);
 }
 
 }  // namespace
