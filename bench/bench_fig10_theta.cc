@@ -3,7 +3,8 @@
 // per customer grows from 10 to 40 (minimum support 0.005). The paper's
 // headline: Dynamic DISC-all wins everywhere; static DISC-all loses its
 // lead at high θ where the deeper-level NRR stays low and partitioning
-// would still pay.
+// would still pay. --repeat=N times each row's miners N times in rotating
+// order and prints per-cell medians.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,7 +19,8 @@ using namespace disc;
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   if (PrintBenchUsage(flags, "bench_fig10_theta",
-                      "[--ncust=N] [--minsup=F] [--thetas=F,F,...] [--seed=N] [--full]")) {
+                      "[--ncust=N] [--minsup=F] [--thetas=F,F,...] [--seed=N] [--full] "
+                      "[--repeat=N]")) {
     return 0;
   }
   const bool full = flags.GetBool("full", false);
@@ -44,11 +46,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::uint32_t repeat = RepeatFromFlags(flags);
   PrintBanner("Figure 10: runtime vs theta (minsup = " +
                   std::to_string(minsup) + ")",
               "Quest tlen=2.5 nitems=1K seq.patlen=4, ncust=" +
                   std::to_string(ncust),
               !full);
+  if (repeat > 1) std::printf("(each cell is the median of %u runs)\n", repeat);
 
   ObsSession obs("fig10_theta", flags);
   TablePrinter table({"theta", "dynamic (s)", "disc-all (s)",
@@ -61,29 +65,26 @@ int main(int argc, char** argv) {
     options.min_support_count =
         MineOptions::CountForFraction(db.size(), minsup);
     options.threads = ThreadsFromFlags(flags);
-    const MineTiming dyn_t =
-        TimeMine(CreateMiner("dynamic-disc-all").get(), db, options);
-    const MineTiming disc_t =
-        TimeMine(CreateMiner("disc-all").get(), db, options);
-    const MineTiming ps_t =
-        TimeMine(CreateMiner("prefixspan").get(), db, options);
-    const MineTiming pseudo_t =
-        TimeMine(CreateMiner("pseudo").get(), db, options);
+    // runs[0..3]: dynamic-disc-all, disc-all, prefixspan, pseudo.
+    const std::vector<std::vector<MineTiming>> runs = TimeMinersRepeated(
+        {"dynamic-disc-all", "disc-all", "prefixspan", "pseudo"}, db, options,
+        repeat);
     WorkloadInfo workload = MakeWorkloadInfo(db, "quest:theta");
     workload.min_support_count = options.min_support_count;
     obs.SetWorkload(workload);
-    obs.Record(dyn_t.stats);
-    obs.Record(disc_t.stats);
-    obs.Record(ps_t.stats);
-    obs.Record(pseudo_t.stats);
+    for (std::uint32_t r = 0; r < repeat; ++r) {
+      for (const std::vector<MineTiming>& miner : runs) {
+        obs.Record(miner[r].stats);
+      }
+    }
+    const std::size_t patterns = runs[0][0].num_patterns;
     table.AddRow({TablePrinter::Num(theta, 0),
-                  TablePrinter::Num(dyn_t.seconds),
-                  TablePrinter::Num(disc_t.seconds),
-                  TablePrinter::Num(ps_t.seconds),
-                  TablePrinter::Num(pseudo_t.seconds),
-                  std::to_string(dyn_t.num_patterns)});
-    std::printf("  [theta %.0f] done (%zu patterns)\n", theta,
-                dyn_t.num_patterns);
+                  TablePrinter::Num(MedianSeconds(runs[0])),
+                  TablePrinter::Num(MedianSeconds(runs[1])),
+                  TablePrinter::Num(MedianSeconds(runs[2])),
+                  TablePrinter::Num(MedianSeconds(runs[3])),
+                  std::to_string(patterns)});
+    std::printf("  [theta %.0f] done (%zu patterns)\n", theta, patterns);
     std::fflush(stdout);
   }
   table.Print();

@@ -1,5 +1,8 @@
 #include "disc/benchlib/workload.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "disc/common/check.h"
 #include "disc/common/timer.h"
 
@@ -41,6 +44,12 @@ std::uint32_t ThreadsFromFlags(const Flags& flags) {
   return static_cast<std::uint32_t>(threads);
 }
 
+std::uint32_t RepeatFromFlags(const Flags& flags) {
+  const std::int64_t repeat = flags.GetInt("repeat", 1);
+  DISC_CHECK(repeat >= 1);
+  return static_cast<std::uint32_t>(repeat);
+}
+
 MineTiming TimeMine(Miner* miner, const SequenceDatabase& db,
                     const MineOptions& options) {
   Timer timer;
@@ -51,6 +60,48 @@ MineTiming TimeMine(Miner* miner, const SequenceDatabase& db,
   t.max_length = result.MaxLength();
   t.stats = miner->last_stats();
   return t;
+}
+
+std::vector<std::vector<MineTiming>> TimeMinersRepeated(
+    const std::vector<std::string>& miners, const SequenceDatabase& db,
+    const MineOptions& options, std::uint32_t repeat) {
+  std::vector<std::vector<MineTiming>> runs(miners.size(),
+                                            std::vector<MineTiming>(repeat));
+  for (std::uint32_t r = 0; r < repeat; ++r) {
+    for (std::size_t j = 0; j < miners.size(); ++j) {
+      const std::size_t m = (r + j) % miners.size();
+      runs[m][r] = TimeMine(CreateMiner(miners[m]).get(), db, options);
+    }
+  }
+  return runs;
+}
+
+namespace {
+
+double Median(std::vector<double> v) {
+  DISC_CHECK(!v.empty());
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
+
+}  // namespace
+
+double MedianSeconds(const std::vector<MineTiming>& runs) {
+  std::vector<double> seconds;
+  for (const MineTiming& t : runs) seconds.push_back(t.seconds);
+  return Median(std::move(seconds));
+}
+
+double MedianRatio(const std::vector<MineTiming>& num,
+                   const std::vector<MineTiming>& den) {
+  DISC_CHECK(num.size() == den.size());
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < num.size(); ++r) {
+    ratios.push_back(num[r].seconds /
+                     (den[r].seconds > 0 ? den[r].seconds : 1e-9));
+  }
+  return Median(std::move(ratios));
 }
 
 }  // namespace disc

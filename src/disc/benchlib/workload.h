@@ -5,6 +5,8 @@
 #define DISC_BENCHLIB_WORKLOAD_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "disc/algo/miner.h"
 #include "disc/common/flags.h"
@@ -36,6 +38,27 @@ struct MineTiming {
 };
 MineTiming TimeMine(Miner* miner, const SequenceDatabase& db,
                     const MineOptions& options);
+
+/// Times each miner named in `miners` on `db` for `repeat` rounds. Round r
+/// starts at miner r mod |miners| and goes on in list order, so no miner
+/// always runs first; one round is the list order. Returns runs[m][r],
+/// miner m's timing in round r.
+std::vector<std::vector<MineTiming>> TimeMinersRepeated(
+    const std::vector<std::string>& miners, const SequenceDatabase& db,
+    const MineOptions& options, std::uint32_t repeat);
+
+/// Median seconds of `runs`, the mean of the middle two when their number
+/// is even.
+double MedianSeconds(const std::vector<MineTiming>& runs);
+
+/// Median over rounds r of num[r].seconds / den[r].seconds: the ratio of
+/// two miners timed in the same rounds, a zero denominator read as 1e-9 s.
+double MedianRatio(const std::vector<MineTiming>& num,
+                   const std::vector<MineTiming>& den);
+
+/// Reads the --repeat=N knob of the paper drivers (default 1): how many
+/// rounds TimeMinersRepeated runs per row. Aborts on values below 1.
+std::uint32_t RepeatFromFlags(const Flags& flags);
 
 /// Reads the --threads=N knob shared by the drivers into a
 /// MineOptions::threads value (default 1 = serial; 0 = hardware

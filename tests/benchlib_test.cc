@@ -41,6 +41,39 @@ TEST(Benchlib, TimeMineReportsResultShape) {
   EXPECT_EQ(t.max_length, direct.MaxLength());
 }
 
+TEST(Benchlib, TimeMinersRepeatedRunsEveryMinerEveryRound) {
+  const SequenceDatabase db = GenerateQuestDatabase(Fig8Params(120));
+  MineOptions options;
+  options.min_support_count = MineOptions::CountForFraction(db.size(), 0.05);
+  const std::vector<std::vector<MineTiming>> runs =
+      TimeMinersRepeated({"disc-all", "pseudo"}, db, options, 3);
+  ASSERT_EQ(runs.size(), 2u);
+  for (std::size_t m = 0; m < runs.size(); ++m) {
+    ASSERT_EQ(runs[m].size(), 3u);
+    for (const MineTiming& t : runs[m]) {
+      EXPECT_EQ(t.stats.miner, m == 0 ? "disc-all" : "pseudo");
+      EXPECT_EQ(t.num_patterns, runs[0][0].num_patterns);
+      EXPECT_GE(t.seconds, 0.0);
+    }
+  }
+}
+
+TEST(Benchlib, MediansOfRepeatedRuns) {
+  auto timings = [](std::vector<double> seconds) {
+    std::vector<MineTiming> out(seconds.size());
+    for (std::size_t i = 0; i < seconds.size(); ++i) {
+      out[i].seconds = seconds[i];
+    }
+    return out;
+  };
+  EXPECT_DOUBLE_EQ(MedianSeconds(timings({3, 1, 2})), 2.0);
+  EXPECT_DOUBLE_EQ(MedianSeconds(timings({4, 1, 2, 3})), 2.5);
+  EXPECT_DOUBLE_EQ(MedianSeconds(timings({0.5})), 0.5);
+  // Per-run ratios 2, 3 and 1: their median, not the ratio of the medians
+  // (4 / 3).
+  EXPECT_DOUBLE_EQ(MedianRatio(timings({2, 9, 4}), timings({1, 3, 4})), 2.0);
+}
+
 TEST(Benchlib, DescribeDatabaseMentionsShape) {
   SequenceDatabase db;
   db.Add(ParseSequence("(a,b)(c)"));
