@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "disc/algo/hash_tree.h"
 #include "disc/common/check.h"
+#include "disc/core/first_level.h"
 #include "disc/obs/metrics.h"
 #include "disc/order/compare.h"
 #include "disc/seq/containment.h"
@@ -69,17 +71,10 @@ PatternSet Gsp::DoMine(const SequenceDatabase& db,
   if (db.empty() || delta > db.size()) return out;
 
   // Frequent 1-sequences.
-  std::vector<std::uint32_t> item_support(db.max_item() + 1, 0);
-  std::vector<std::uint64_t> seen(db.max_item() + 1, 0);
-  for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != cid + 1u) {
-        seen[x] = cid + 1u;
-        ++item_support[x];
-        DISC_OBS_INC(g_support_inc);
-      }
-    }
-  }
+  const std::vector<std::uint32_t> item_support = CountItemSupport(db);
+  DISC_OBS_ADD(g_support_inc,
+               std::accumulate(item_support.begin(), item_support.end(),
+                               std::uint64_t{0}));
   std::vector<Sequence> frequent;  // F_{k-1}, ascending
   std::vector<Item> freq_items;
   for (Item x = 1; x <= db.max_item(); ++x) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 
 #include "disc/common/check.h"
+#include "disc/core/counting_array.h"
+#include "disc/core/first_level.h"
 #include "disc/obs/metrics.h"
 #include "disc/order/compare.h"
 #include "disc/seq/itemset.h"
@@ -32,20 +35,13 @@ class Context {
  public:
   Context(const SequenceDatabase& db, const MineOptions& options,
           PrefixSpan::Projection mode)
-      : db_(db), options_(options), mode_(mode) {
-    const std::size_t n = static_cast<std::size_t>(db.max_item()) + 1;
-    i_count_.assign(n, 0);
-    s_count_.assign(n, 0);
-    i_seen_.assign(n, 0);
-    s_seen_.assign(n, 0);
-  }
+      : db_(db), options_(options), mode_(mode), counts_(db.max_item()) {}
 
   ~Context() {
     DISC_OBS_ADD(g_nodes, nodes_);
     DISC_OBS_ADD(g_points, projection_points_);
     DISC_OBS_ADD(g_projected_db, projected_db_size_);
     DISC_OBS_ADD(g_materialized, materialized_);
-    DISC_OBS_ADD(g_support_inc, support_increments_);
     DISC_OBS_ADD(g_support_inc_k4, support_increments_k4_);
   }
 
@@ -56,33 +52,27 @@ class Context {
     if (db_.empty() || options_.min_support_count > db_.size()) {
       return std::move(out_);
     }
-    // Frequent 1-sequences: one scan records, per item, the customers that
-    // contain it (about 4 bytes per (customer, distinct item)); an item's
-    // support is the length of its list.
-    std::vector<std::vector<Cid>> containing(db_.max_item() + 1);
-    for (Cid cid = 0; cid < db_.size(); ++cid) {
-      ++tag_;
-      for (const Item x : db_[cid].items()) {
-        if (s_seen_[x] != tag_) {
-          s_seen_[x] = tag_;
-          containing[x].push_back(cid);
-          CountSupportIncrement();
-        }
-      }
-    }
+    // Frequent 1-sequences and their customers, as DISC's root finds them
+    // (core/first_level.h): one scan counts the item supports, a second
+    // lists the customers of each frequent item.
+    const std::uint32_t delta = options_.min_support_count;
+    const std::vector<std::uint32_t> support = CountItemSupport(db_);
+    DISC_OBS_ADD(g_support_inc, std::accumulate(support.begin(), support.end(),
+                                                 std::uint64_t{0}));
+    std::vector<std::vector<Cid>> members_of =
+        CollectPartitionMembers(db_, support, delta);
 
-    for (Item x = 0; x <= db_.max_item(); ++x) {
-      if (containing[x].size() < options_.min_support_count) continue;
+    for (Item x = 1; x <= db_.max_item(); ++x) {
+      if (support[x] < delta) continue;
       Sequence prefix;
       prefix.AppendNewItemset(x);
-      out_.Add(prefix, static_cast<std::uint32_t>(containing[x].size()));
+      out_.Add(prefix, support[x]);
       if (options_.max_length == 1) continue;
       // Project on the leftmost occurrence of x in each sequence containing
-      // it; the projection then replaces the list. (An infrequent item's
-      // list holds fewer than delta customers, so those lists stay.)
+      // it; the projection then replaces the list.
       std::vector<Point> points;
-      points.reserve(containing[x].size());
-      for (const Cid cid : containing[x]) {
+      points.reserve(members_of[x].size());
+      for (const Cid cid : members_of[x]) {
         const SequenceView s = db_[cid];
         std::uint32_t t = 0;
         while (!s.TxnContains(t, x)) ++t;
@@ -90,7 +80,7 @@ class Context {
         points.push_back(
             {s, t, static_cast<std::uint32_t>(pos - s.TxnBegin(t)) + 1});
       }
-      std::vector<Cid>().swap(containing[x]);
+      std::vector<Cid>().swap(members_of[x]);
       Recurse(prefix, {x}, points);
     }
     return std::move(out_);
@@ -109,24 +99,28 @@ class Context {
     ++nodes_;
     projection_points_ += points.size();
     projected_db_size_.Record(points.size());
-    // Length of the patterns the Mark* calls below are counting support for.
-    counting_length_ = prefix.Length() + 1;
 #endif
     const Item last_max = last_itemset.back();
 
-    for (const Point& p : points) {
+    // The points of one node are distinct customers, so a point's index
+    // serves as its CID in the counting array.
+    counts_.Reset();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const Point& p = points[i];
       const SequenceView s = p.seq;
-      ++tag_;
+      const Cid cid = static_cast<Cid>(i);
       // Items after the projection point inside the partial transaction:
       // itemset extensions (all exceed last_max because transactions are
       // sorted and the point is past last_max's position).
       for (const Item* q = s.TxnBegin(p.txn) + p.next_i; q != s.TxnEnd(p.txn);
            ++q) {
-        MarkI(*q);
+        counts_.Add(*q, ExtType::kItemset, cid);
       }
       for (std::uint32_t t = p.txn + 1; t < s.NumTransactions(); ++t) {
         // Any item in a strictly later transaction: sequence extension.
-        for (const Item* q = s.TxnBegin(t); q != s.TxnEnd(t); ++q) MarkS(*q);
+        for (const Item* q = s.TxnBegin(t); q != s.TxnEnd(t); ++q) {
+          counts_.Add(*q, ExtType::kSequence, cid);
+        }
         // A later transaction containing the whole last itemset lets its
         // larger items extend that itemset (the non-leftmost-embedding
         // case).
@@ -136,43 +130,22 @@ class Context {
           for (const Item* q =
                    std::upper_bound(s.TxnBegin(t), s.TxnEnd(t), last_max);
                q != s.TxnEnd(t); ++q) {
-            MarkI(*q);
+            counts_.Add(*q, ExtType::kItemset, cid);
           }
         }
       }
     }
 
-    // Collect frequent extensions, then reset the scratch counters before
-    // recursing (siblings must not see our counts).
-    std::vector<std::pair<Item, ExtType>> freq_exts;
-    std::sort(touched_i_.begin(), touched_i_.end());
-    std::sort(touched_s_.begin(), touched_s_.end());
-    {
-      // Merge the two touched lists so extensions come out ascending by
-      // (item, type) with kItemset first.
-      std::size_t a = 0;
-      std::size_t b = 0;
-      while (a < touched_i_.size() || b < touched_s_.size()) {
-        const bool take_i =
-            b >= touched_s_.size() ||
-            (a < touched_i_.size() && touched_i_[a] <= touched_s_[b]);
-        if (take_i) {
-          if (i_count_[touched_i_[a]] >= options_.min_support_count) {
-            freq_exts.emplace_back(touched_i_[a], ExtType::kItemset);
-          }
-          ++a;
-        } else {
-          if (s_count_[touched_s_[b]] >= options_.min_support_count) {
-            freq_exts.emplace_back(touched_s_[b], ExtType::kSequence);
-          }
-          ++b;
-        }
-      }
+#if DISC_OBS_ENABLED
+    // The array publishes support.increments itself; the k >= 4 share is
+    // the no-support-counting invariant's (DISC's k >= 4 loop never counts).
+    if (prefix.Length() + 1 >= 4) {
+      support_increments_k4_ += counts_.increments_since_reset();
     }
-    for (const Item x : touched_i_) i_count_[x] = 0;
-    for (const Item x : touched_s_) s_count_[x] = 0;
-    touched_i_.clear();
-    touched_s_.clear();
+#endif
+    // Read off before recursing: every child resets the array.
+    std::vector<std::pair<Item, ExtType>> freq_exts;
+    counts_.FrequentExtensions(options_.min_support_count, &freq_exts);
 
     for (const auto& [item, type] : freq_exts) {
       const Sequence child = Extend(prefix, item, type);
@@ -260,47 +233,19 @@ class Context {
     return {arena->back(), 0, p.next_i};
   }
 
-  void MarkI(Item x) {
-    if (i_seen_[x] == tag_) return;
-    i_seen_[x] = tag_;
-    if (i_count_[x]++ == 0) touched_i_.push_back(x);
-    CountSupportIncrement();
-  }
-
-  void MarkS(Item x) {
-    if (s_seen_[x] == tag_) return;
-    s_seen_[x] = tag_;
-    if (s_count_[x]++ == 0) touched_s_.push_back(x);
-    CountSupportIncrement();
-  }
-
-  // Work counts are tallied per run and published once, when the context
-  // dies: a shared atomic bump per event would make this yardstick pay for
-  // the instrumentation.
-  void CountSupportIncrement() {
-#if DISC_OBS_ENABLED
-    ++support_increments_;
-    if (counting_length_ >= 4) ++support_increments_k4_;
-#endif
-  }
-
   const SequenceDatabase& db_;
   const MineOptions& options_;
   const PrefixSpan::Projection mode_;
   PatternSet out_;
-
-  // Per-item scratch (indexed by item id).
-  std::vector<std::uint32_t> i_count_, s_count_;
-  std::vector<std::uint64_t> i_seen_, s_seen_;
-  std::vector<Item> touched_i_, touched_s_;
-  std::uint64_t tag_ = 0;
+  CountingArray counts_;
+  // Work counts are tallied per run and published once, when the context
+  // dies: a shared atomic bump per event would make this yardstick pay for
+  // the instrumentation.
 #if DISC_OBS_ENABLED
-  std::uint32_t counting_length_ = 1;
   std::uint64_t nodes_ = 0;
   std::uint64_t projection_points_ = 0;
   obs::HistogramTally projected_db_size_;
   std::uint64_t materialized_ = 0;
-  std::uint64_t support_increments_ = 0;
   std::uint64_t support_increments_k4_ = 0;
 #endif
 };

@@ -157,17 +157,6 @@ std::string RenderPrometheusText(const MetricsExport& metrics,
   return out;
 }
 
-std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
-  std::string out;
-  out.reserve(1024);
-  for (const auto& [raw, value] : snapshot.counters) {
-    const std::string name = PrometheusName(raw);
-    AppendFamilyHeader(name, "counter", "disc counter '" + raw + "'", &out);
-    out += name + " " + std::to_string(value) + "\n";
-  }
-  return out;
-}
-
 std::string RenderPrometheusText() {
   std::string out = RenderPrometheusText(
       MetricsRegistry::Global().ExportAll(),

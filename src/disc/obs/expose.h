@@ -38,10 +38,6 @@ std::string PrometheusName(const std::string& raw);
 std::string RenderPrometheusText(const MetricsExport& metrics,
                                  const std::vector<ProgressSnapshot>& runs);
 
-/// Counters-only overload for the per-run delta snapshot type (everything
-/// renders as `counter`; histogram .count/.sum entries keep their names).
-std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
-
 /// Renders the global registries (MetricsRegistry + RunRegistry) plus the
 /// process RSS gauges.
 std::string RenderPrometheusText();

@@ -53,13 +53,11 @@ void TelemetrySampler::Loop() {
 
 void TelemetrySampler::SampleOnce(bool final) {
   RunRegistry& registry = RunRegistry::Global();
-  if (options_.sample_rss) {
-    const std::uint64_t rss = CurrentRssBytes();
-    if (rss > 0) {
-      DISC_OBS_GAUGE(g_rss, "proc.rss_bytes");
-      DISC_OBS_SET(g_rss, static_cast<double>(rss));
-      for (const auto& tel : registry.ActiveRuns()) tel->ObserveRss(rss);
-    }
+  const std::uint64_t rss = CurrentRssBytes();
+  if (rss > 0) {
+    DISC_OBS_GAUGE(g_rss, "proc.rss_bytes");
+    DISC_OBS_SET(g_rss, static_cast<double>(rss));
+    for (const auto& tel : registry.ActiveRuns()) tel->ObserveRss(rss);
   }
   if (on_tick_) on_tick_(registry.SnapshotActive(), final);
   std::lock_guard<std::mutex> lock(mu_);

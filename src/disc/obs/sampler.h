@@ -35,8 +35,6 @@ class TelemetrySampler {
     /// Sampling period. Clamped to >= 10 to keep a mistyped flag from
     /// turning the sampler into a busy loop.
     std::uint64_t period_ms = 200;
-    /// Sample VmRSS each tick (per-run high-water + proc.rss_bytes gauge).
-    bool sample_rss = true;
   };
 
   /// Called once per tick with the in-flight run snapshots (ascending run

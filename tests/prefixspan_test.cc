@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "disc/core/first_level.h"
 #include "disc/obs/mine_stats.h"
 #include "disc/seq/containment.h"
+#include "disc/seq/extension.h"
 #include "test_util.h"
 
 namespace disc {
@@ -116,6 +118,44 @@ TEST(PrefixSpan, WorkCountsFollowTheRecursion) {
     EXPECT_EQ(stats.Counter("prefixspan.materialized_sequences"),
               mode == PrefixSpan::Projection::kPhysical ? deeper_points : 0)
         << miner.name();
+  }
+}
+
+TEST(PrefixSpan, SupportIncrementsMatchTheExtensionOracle) {
+  // The first scan counts each (customer, distinct item) once. Each node P
+  // then counts every valid extension of P once per customer containing P:
+  // the two sets ScanExtensions computes. The counting array publishes the
+  // node share as counting_array.increments, and the share at counted
+  // lengths >= 4 (|P| >= 3) is support.increments.k4plus.
+  for (std::uint64_t seed = 73; seed <= 75; ++seed) {
+    const SequenceDatabase db = testutil::RandomDatabase(seed);
+    MineOptions options;
+    options.min_support_count = 3;
+    std::uint64_t first_scan = 0;
+    for (const std::uint32_t sup : CountItemSupport(db)) first_scan += sup;
+    for (const auto mode : {PrefixSpan::Projection::kPseudo,
+                            PrefixSpan::Projection::kPhysical}) {
+      PrefixSpan miner(mode);
+      const PatternSet got = miner.Mine(db, options);
+      ASSERT_FALSE(got.empty());
+      std::uint64_t node_sum = 0;
+      std::uint64_t node_sum_k4 = 0;
+      for (const auto& [p, sup] : got) {
+        for (Cid cid = 0; cid < db.size(); ++cid) {
+          const ExtensionSets ext = ScanExtensions(db[cid], p);
+          const std::uint64_t n = ext.i_items.size() + ext.s_items.size();
+          node_sum += n;
+          if (p.Length() >= 3) node_sum_k4 += n;
+        }
+      }
+      const obs::MineStats& stats = miner.last_stats();
+      EXPECT_EQ(stats.Counter("support.increments"), first_scan + node_sum)
+          << miner.name() << " seed " << seed;
+      EXPECT_EQ(stats.Counter("support.increments.k4plus"), node_sum_k4)
+          << miner.name() << " seed " << seed;
+      EXPECT_EQ(stats.Counter("counting_array.increments"), node_sum)
+          << miner.name() << " seed " << seed;
+    }
   }
 }
 #endif
