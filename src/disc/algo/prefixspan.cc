@@ -105,10 +105,9 @@ class Context {
     // The points of one node are distinct customers, so a point's index
     // serves as its CID in the counting array.
     counts_.Reset();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
+    for (Cid cid = 0; cid < points.size(); ++cid) {
+      const Point& p = points[cid];
       const SequenceView s = p.seq;
-      const Cid cid = static_cast<Cid>(i);
       // Items after the projection point inside the partial transaction:
       // itemset extensions (all exceed last_max because transactions are
       // sorted and the point is past last_max's position).
@@ -137,8 +136,8 @@ class Context {
     }
 
 #if DISC_OBS_ENABLED
-    // The array publishes support.increments itself; the k >= 4 share is
-    // the no-support-counting invariant's (DISC's k >= 4 loop never counts).
+    // The array publishes support.increments when it dies; the share spent
+    // on patterns of length >= 4 is tallied here.
     if (prefix.Length() + 1 >= 4) {
       support_increments_k4_ += counts_.increments_since_reset();
     }

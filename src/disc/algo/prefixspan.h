@@ -12,9 +12,12 @@
 // standard postfix rules (items after the projection point extend the last
 // itemset; a later transaction containing the whole last itemset contributes
 // its larger items as itemset extensions; any item in a strictly later
-// transaction is a sequence extension). The level-1 projections come from
-// the scan that counts the frequent items: it records each item's
-// containing sequences, so building them costs one pass over the database
+// transaction is a sequence extension). Each node counts those extensions
+// with the counting array of paper §3.1 (core/counting_array.h), the one
+// DISC counts with; a node's points are distinct customers, so a point's
+// index serves as its CID. The frequent items and the customers of each
+// come from the first-level scans DISC's root uses (core/first_level.h),
+// so building the level-1 projections costs two passes over the database
 // rather than one per frequent item.
 #ifndef DISC_ALGO_PREFIXSPAN_H_
 #define DISC_ALGO_PREFIXSPAN_H_
