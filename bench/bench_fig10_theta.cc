@@ -1,10 +1,14 @@
 // Figure 10 — "Comparisons on different θ's": runtime of Dynamic DISC-all,
 // DISC-all, PrefixSpan and Pseudo as the average number of transactions
-// per customer grows from 10 to 40 (minimum support 0.005). The paper's
-// headline: Dynamic DISC-all wins everywhere; static DISC-all loses its
-// lead at high θ where the deeper-level NRR stays low and partitioning
-// would still pay. --repeat=N times each row's miners N times in rotating
-// order and prints per-cell medians.
+// per customer grows from 10 to 40 (minimum support 0.005), with Table 14
+// — "Average NRR under different θ's" — on the same databases: the
+// per-level NRR from one untimed disc-all mine per row.
+//
+// The paper's headlines: Dynamic DISC-all wins everywhere; static DISC-all
+// loses its lead at high θ where the deeper-level NRR stays low and
+// partitioning would still pay; and higher θ lowers the NRR at the shallow
+// levels (partitions grow faster than their children). --repeat=N times
+// each row's miners N times in rotating order and prints per-cell medians.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "disc/benchlib/workload.h"
 #include "disc/common/flags.h"
 #include "disc/common/table.h"
+#include "disc/core/nrr.h"
 
 using namespace disc;
 
@@ -30,10 +35,7 @@ int main(int argc, char** argv) {
   // paper's 0.005 leaves delta = 10, which floods the dense high-theta
   // databases with hundreds of thousands of patterns.
   const double minsup = flags.GetDouble("minsup", full ? 0.005 : 0.02);
-  std::vector<double> thetas = full
-                                   ? std::vector<double>{10, 15, 20, 25, 30,
-                                                         35, 40}
-                                   : std::vector<double>{10, 20, 30, 40};
+  std::vector<double> thetas = {10, 15, 20, 25, 30, 35, 40};
   if (flags.Has("thetas")) {
     thetas.clear();
     const std::string spec = flags.GetString("thetas", "");
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
   }
 
   const std::uint32_t repeat = RepeatFromFlags(flags);
-  PrintBanner("Figure 10: runtime vs theta (minsup = " +
+  PrintBanner("Figure 10 and Table 14: runtime and NRR vs theta (minsup = " +
                   std::to_string(minsup) + ")",
               "Quest tlen=2.5 nitems=1K seq.patlen=4, ncust=" +
                   std::to_string(ncust),
@@ -55,8 +57,14 @@ int main(int argc, char** argv) {
   if (repeat > 1) std::printf("(each cell is the median of %u runs)\n", repeat);
 
   ObsSession obs("fig10_theta", flags);
-  TablePrinter table({"theta", "dynamic (s)", "disc-all (s)",
+  TablePrinter fig10({"theta", "dynamic (s)", "disc-all (s)",
                       "prefixspan (s)", "pseudo (s)", "#patterns"});
+  const std::uint32_t max_levels = 7;
+  std::vector<std::string> nrr_header = {"theta", "Original"};
+  for (std::uint32_t l = 1; l < max_levels; ++l) {
+    nrr_header.push_back(std::to_string(l));
+  }
+  TablePrinter table14(nrr_header);
   for (const double theta : thetas) {
     QuestParams params = ThetaParams(ncust, theta);
     params.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
@@ -78,15 +86,30 @@ int main(int argc, char** argv) {
       }
     }
     const std::size_t patterns = runs[0][0].num_patterns;
-    table.AddRow({TablePrinter::Num(theta, 0),
+    fig10.AddRow({TablePrinter::Num(theta, 0),
                   TablePrinter::Num(MedianSeconds(runs[0])),
                   TablePrinter::Num(MedianSeconds(runs[1])),
                   TablePrinter::Num(MedianSeconds(runs[2])),
                   TablePrinter::Num(MedianSeconds(runs[3])),
                   std::to_string(patterns)});
-    std::printf("  [theta %.0f] done (%zu patterns)\n", theta, patterns);
+
+    // The NRR is a function of the patterns, which the timed runs do not
+    // keep: one more disc-all mine, untimed and unrecorded.
+    const std::vector<double> nrr = AverageNrrByLevel(
+        CreateMiner("disc-all")->Mine(db, options), db.size());
+    std::vector<std::string> nrr_row = {TablePrinter::Num(theta, 0)};
+    for (std::uint32_t l = 0; l < max_levels; ++l) {
+      nrr_row.push_back(
+          l < nrr.size() ? TablePrinter::Num(nrr[l], l == 0 ? 4 : 2) : "-");
+    }
+    table14.AddRow(std::move(nrr_row));
+    std::printf("  [theta %.0f] %s, %zu patterns\n", theta,
+                DescribeDatabase(db).c_str(), patterns);
     std::fflush(stdout);
   }
-  table.Print();
+  std::printf("\nFigure 10: runtime vs theta\n");
+  fig10.Print();
+  std::printf("\nTable 14: average NRR per partition level vs theta\n");
+  table14.Print();
   return obs.Finish() ? 0 : 1;
 }

@@ -59,18 +59,16 @@ MineResult Miner::TryMine(const SequenceDatabase& db,
   stats_.deadline_exceeded = ctl.deadline_exceeded();
   harvest.Finish(&stats_);
 #if DISC_OBS_ENABLED
-  if (telemetry_ != nullptr) {
-    // When the TelemetrySampler observed this run, its per-run high-water
-    // mark replaces the process-lifetime VmHWM the harvest recorded — that
-    // peak is monotone across runs and misattributes earlier, larger runs.
-    if (telemetry_->rss_sampled()) {
-      stats_.peak_rss_bytes = telemetry_->rss_high_water_bytes();
-    }
-    obs::RunRegistry::Global().Finish(telemetry_, stats_.num_patterns,
-                                      stats_.wall_seconds, stats_.cancelled,
-                                      stats_.deadline_exceeded);
-    telemetry_ = nullptr;
+  // When the TelemetrySampler observed this run, its per-run high-water
+  // mark replaces the process-lifetime VmHWM the harvest recorded — that
+  // peak is monotone across runs and misattributes earlier, larger runs.
+  if (telemetry_->rss_sampled()) {
+    stats_.peak_rss_bytes = telemetry_->rss_high_water_bytes();
   }
+  obs::RunRegistry::Global().Finish(telemetry_, stats_.num_patterns,
+                                    stats_.wall_seconds, stats_.cancelled,
+                                    stats_.deadline_exceeded);
+  telemetry_ = nullptr;
 #endif
   status_ = ctl.ToStatus();
   result.status = status_;

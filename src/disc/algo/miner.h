@@ -116,7 +116,7 @@ class Miner {
   RunControl* run_control() const { return ctl_; }
 
   /// The active run's live-telemetry handle (obs/progress.h); null outside
-  /// a run and when the run registry is disabled. The partition-scheduled
+  /// a run and when DISC_ENABLE_OBS is off. The partition-scheduled
   /// miners tick it at their cancellation checkpoints.
   obs::RunTelemetry* telemetry() const { return telemetry_.get(); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <optional>
 
 #include "disc/common/check.h"
 #include "disc/core/counting_array.h"
@@ -157,15 +158,14 @@ class Context {
       }
       // Physical mode materializes each projected suffix; the arena lives
       // for the duration of this child's recursion only, mirroring
-      // PrefixSpan's projected-database lifetime.
-      std::deque<Sequence> arena;
+      // PrefixSpan's projected-database lifetime. Pseudo mode builds none.
+      std::optional<std::deque<Sequence>> arena;
+      if (mode_ == PrefixSpan::Projection::kPhysical) arena.emplace();
       std::vector<Point> child_points;
       for (const Point& p : points) {
         Point np;
         if (!Advance(p, item, type, child_last, &np)) continue;
-        if (mode_ == PrefixSpan::Projection::kPhysical) {
-          np = Materialize(np, &arena);
-        }
+        if (arena) np = Materialize(np, &*arena);
         child_points.push_back(np);
       }
       DISC_CHECK(child_points.size() >= options_.min_support_count);

@@ -119,18 +119,6 @@ std::string BenchReport::ToJson() const {
   return w.TakeString();
 }
 
-bool BenchReport::WriteJson(const std::string& path,
-                            std::string* error) const {
-  // Atomic (temp + rename): a crash or injected failure mid-write never
-  // leaves a truncated report where a previous good one stood.
-  const Status status = WriteFileAtomic(path, ToJson() + '\n');
-  if (!status.ok()) {
-    if (error != nullptr) *error = status.message();
-    return false;
-  }
-  return true;
-}
-
 bool ValidateBenchReportJson(const std::string& json, std::string* error) {
   auto fail = [error](const std::string& msg) {
     if (error != nullptr) *error = msg;
@@ -260,7 +248,8 @@ bool ObsSession::Finish() {
     const std::uint64_t records = log.records_written();
     log.Close();
     // Validate what we just wrote: the event log is an API other tools
-    // tail, so a malformed file is a bug worth failing the run over.
+    // tail, so a malformed file is a bug worth failing the run over. The
+    // exposition and the JSON report below are validated the same way.
     std::string text;
     const Status read = ReadFileToString(events_out_, &text);
     if (!read.ok()) {
@@ -292,11 +281,19 @@ bool ObsSession::Finish() {
   if (!json_out_.empty()) {
     BenchReport report(bench_name_, workload_);
     for (const obs::MineStats& stats : runs_) report.AddRun(stats);
-    if (report.WriteJson(json_out_, &error)) {
-      std::printf("wrote %s (%zu runs)\n", json_out_.c_str(), runs_.size());
-    } else {
-      std::fprintf(stderr, "json-out: %s\n", error.c_str());
+    const std::string json = report.ToJson();
+    // Checked before an atomic (temp + rename) write: a drifted report
+    // fails the run, and a crash or injected failure mid-write never
+    // leaves a truncated report where a previous good one stood.
+    if (!ValidateBenchReportJson(json, &error)) {
+      std::fprintf(stderr, "json-out: invalid report: %s\n", error.c_str());
       ok = false;
+    } else if (const Status status = WriteFileAtomic(json_out_, json + '\n');
+               !status.ok()) {
+      std::fprintf(stderr, "json-out: %s\n", status.message().c_str());
+      ok = false;
+    } else {
+      std::printf("wrote %s (%zu runs)\n", json_out_.c_str(), runs_.size());
     }
   }
   if (!trace_out_.empty()) {

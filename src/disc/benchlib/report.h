@@ -77,9 +77,6 @@ class BenchReport {
   /// The report as a JSON document (schema: docs/OBSERVABILITY.md).
   std::string ToJson() const;
 
-  /// Writes ToJson() to `path`; false + `*error` on failure.
-  bool WriteJson(const std::string& path, std::string* error = nullptr) const;
-
  private:
   std::string bench_name_;
   WorkloadInfo workload_;
@@ -89,13 +86,13 @@ class BenchReport {
 /// Structural check of a BenchReport JSON document: parses it and verifies
 /// the schema fields the tooling relies on (bench/library_version/workload
 /// keys, per-run miner + wall_seconds + counters). Returns true when valid;
-/// otherwise false with a diagnostic in `*error`. Used by the ctest smoke
-/// test via `bench_micro --validate`.
+/// otherwise false with a diagnostic in `*error`. ObsSession::Finish runs
+/// it on every report before writing it.
 bool ValidateBenchReportJson(const std::string& json, std::string* error);
 
 /// One-line wiring of the standard observability flags into a bench driver:
 ///
-///   ObsSession obs("micro", flags);           // after Flags::Parse
+///   ObsSession obs("fig9_minsup", flags);     // after Flags::Parse
 ///   ...
 ///   obs.SetWorkload(MakeWorkloadInfo(db, "quest"));
 ///   obs.Record(miner.last_stats());           // after each Mine()
@@ -129,9 +126,9 @@ class ObsSession {
   void Record(const obs::MineStats& stats);
 
   /// Stops the sampler, writes the requested outputs, and validates the
-  /// telemetry files it wrote (Prometheus exposition, JSONL event log).
-  /// Returns false (after printing a diagnostic to stderr) if any write or
-  /// validation failed.
+  /// telemetry files it wrote (JSON report, Prometheus exposition, JSONL
+  /// event log). Returns false (after printing a diagnostic to stderr) if
+  /// any write or validation failed.
   bool Finish();
 
   const std::string& json_out() const { return json_out_; }

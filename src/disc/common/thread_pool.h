@@ -18,7 +18,8 @@
 // unexecuted tasks exactly like cancelled ones. TakeFirstError() re-arms
 // the pool for reuse.
 //
-// Observability: workers register a "pool-worker-<i>" trace lane, every
+// Observability: workers name their trace lane "pool-worker-<i>" (the lane
+// exists once a worker records a span, so untraced pools leave none), every
 // executed task bumps the "pool.tasks" counter inside a "pool/task" span,
 // and time a worker spends blocked on an empty queue while tasks are still
 // outstanding is recorded in the "pool.queue_wait_us" histogram.

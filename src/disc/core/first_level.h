@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "disc/seq/database.h"
+#include "disc/seq/storage.h"
 #include "disc/seq/types.h"
 
 namespace disc {
@@ -29,10 +30,10 @@ namespace disc {
 /// concurrent engine sessions.
 struct FirstLevelState {
   /// Fingerprint of the source database (Matches below): cheap shape
-  /// aggregates plus a content hash (ContentHash). The hash matters since
-  /// the engine's QueryCache became a multi-database LRU that loads do NOT
-  /// invalidate — two databases with identical shape aggregates must not
-  /// serve each other's state.
+  /// aggregates plus a content hash (ContentHash, seq/storage.h). The hash
+  /// matters since the engine's QueryCache became a multi-database LRU that
+  /// loads do NOT invalidate — two databases with identical shape
+  /// aggregates must not serve each other's state.
   std::size_t db_sequences = 0;
   std::uint64_t db_total_items = 0;
   Item max_item = 0;
@@ -48,14 +49,10 @@ struct FirstLevelState {
   /// item_support[x].
   std::vector<std::vector<Cid>> members_of;
 
-  /// FNV-1a over the database's itemset boundaries and items — one O(n)
-  /// pass. Callers probing several cached states against one database
-  /// (engine/query_cache.cc) should compute it once and use the
-  /// three-argument Matches overload.
-  static std::uint64_t ContentHash(const SequenceDatabase& db);
-
   /// True when this state was built from a database with the same
-  /// fingerprint (shape aggregates + content hash).
+  /// fingerprint (shape aggregates + content hash). Callers probing several
+  /// cached states against one database (engine/query_cache.cc) should
+  /// compute ContentHash once and use the two-argument overload.
   bool Matches(const SequenceDatabase& db) const {
     return Matches(db, ContentHash(db));
   }

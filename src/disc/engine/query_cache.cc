@@ -30,7 +30,7 @@ std::shared_ptr<const FirstLevelState> QueryCache::GetOrBuild(
   // Linear scan: capacity is a handful of slots, and each probe is one
   // fingerprint comparison — a map would cost more than it saves. The
   // content hash is one O(n) pass, paid once per query, not per slot.
-  const std::uint64_t hash = FirstLevelState::ContentHash(db);
+  const std::uint64_t hash = ContentHash(db);
   for (Slot& slot : lru_) {
     if (slot.state->Matches(db, hash)) {
       slot.last_used = ++tick_;

@@ -113,7 +113,7 @@ std::string PrometheusName(const std::string& raw) {
     if (i == 0 && c >= '0' && c <= '9') out += '_';
     out += IsNameChar(c, /*first=*/false) ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -7,9 +7,7 @@
 // Cost model:
 //   * compile-time off (CMake -DDISC_ENABLE_OBS=OFF -> DISC_OBS_ENABLED=0):
 //     the macros expand to nothing, the instrumentation has zero cost;
-//   * runtime off (MetricsRegistry::Global().set_enabled(false)): one
-//     relaxed atomic-bool load per instrumentation point;
-//   * on (the default): load + relaxed 64-bit atomic increment on a
+//   * on (the default): a relaxed 64-bit atomic increment on a
 //     thread-sharded cell.
 //
 // Thread safety: the registry is safe to use from the partition-scheduler
@@ -183,11 +181,6 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
 
-  /// Runtime toggle, honored by the DISC_OBS_* macros. Direct method calls
-  /// on metric objects are not gated.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   /// Snapshot of all counter values (histograms contribute "<name>.count"
   /// and "<name>.sum" entries) and the current gauge tick.
   MetricsSnapshot Snapshot() const;
@@ -217,16 +210,12 @@ class MetricsRegistry {
 
   void SnapshotLocked(MetricsSnapshot* snap) const;
 
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> gauge_tick_{0};
   mutable std::mutex mu_;  // guards the three maps
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// True when the runtime toggle is on (macro fast path).
-inline bool MetricsEnabled() { return MetricsRegistry::Global().enabled(); }
 
 }  // namespace obs
 }  // namespace disc
@@ -249,22 +238,10 @@ inline bool MetricsEnabled() { return MetricsRegistry::Global().enabled(); }
   static ::disc::obs::Histogram* const var = \
       ::disc::obs::MetricsRegistry::Global().histogram(name)
 
-#define DISC_OBS_ADD(var, n)                                     \
-  do {                                                           \
-    if (::disc::obs::MetricsEnabled()) (var)->Add(n);            \
-  } while (0)
-#define DISC_OBS_INC(var)                                        \
-  do {                                                           \
-    if (::disc::obs::MetricsEnabled()) (var)->Increment();       \
-  } while (0)
-#define DISC_OBS_SET(var, v)                                     \
-  do {                                                           \
-    if (::disc::obs::MetricsEnabled()) (var)->Set(v);            \
-  } while (0)
-#define DISC_OBS_RECORD(var, v)                                  \
-  do {                                                           \
-    if (::disc::obs::MetricsEnabled()) (var)->Record(v);         \
-  } while (0)
+#define DISC_OBS_ADD(var, n) (var)->Add(n)
+#define DISC_OBS_INC(var) (var)->Increment()
+#define DISC_OBS_SET(var, v) (var)->Set(v)
+#define DISC_OBS_RECORD(var, v) (var)->Record(v)
 
 #else  // !DISC_OBS_ENABLED
 

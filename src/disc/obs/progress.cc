@@ -132,7 +132,6 @@ RunRegistry& RunRegistry::Global() {
 
 std::shared_ptr<RunTelemetry> RunRegistry::Begin(std::string miner,
                                                  std::size_t db_sequences) {
-  if (!enabled()) return nullptr;
   const std::uint64_t id =
       next_run_id_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<RunTelemetry> tel(

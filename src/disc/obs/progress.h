@@ -145,7 +145,7 @@ class RunTelemetry {
 };
 
 /// Process-global table of runs. Begin/Finish bracket every Miner::TryMine
-/// call (when the registry is enabled); finished runs are kept as
+/// call (when DISC_ENABLE_OBS is on); finished runs are kept as
 /// snapshots, newest first, up to kMaxFinished — enough for a CLI's
 /// post-run reporting and a daemon's `stat` verb without unbounded growth.
 class RunRegistry {
@@ -154,14 +154,9 @@ class RunRegistry {
 
   static RunRegistry& Global();
 
-  /// Runtime toggle (default on). Disabled, Begin returns nullptr and the
-  /// whole layer costs one relaxed load per run.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Registers a new run and emits its run_start event. Returns nullptr
-  /// when the registry is disabled. The returned telemetry stays valid for
-  /// the lifetime of the shared_ptr (Finish does not invalidate it).
+  /// Registers a new run and emits its run_start event. The returned
+  /// telemetry stays valid for the lifetime of the shared_ptr (Finish does
+  /// not invalidate it).
   std::shared_ptr<RunTelemetry> Begin(std::string miner,
                                       std::size_t db_sequences);
 
@@ -186,7 +181,6 @@ class RunRegistry {
  private:
   RunRegistry() = default;
 
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_run_id_{1};
   mutable std::mutex mu_;  // guards active_, finished_
   std::vector<std::shared_ptr<RunTelemetry>> active_;

@@ -14,10 +14,12 @@ struct Open {
   std::uint64_t start_us;
 };
 
-// Per-thread tracer state: the open-span stack and the lane id. Lives in
-// the thread, so Begin/End never take the tracer mutex for stack work.
+// Per-thread tracer state: the open-span stack, the lane id and the name
+// the lane gets when the thread registers it. Lives in the thread, so
+// Begin/End never take the tracer mutex for stack work.
 struct ThreadState {
   std::uint32_t tid = kNoTid;
+  std::string name;
   std::vector<Open> stack;
 };
 
@@ -40,10 +42,13 @@ void Tracer::set_enabled(bool on) {
         expected,
         std::chrono::steady_clock::now().time_since_epoch().count(),
         std::memory_order_acq_rel);
-    // The enabling thread is the driver: name its lane "main" unless it
-    // already registered under another name.
+    // The enabling thread is the driver: it registers its lane now, as
+    // "main" unless it already has another name.
     ThreadState& state = LocalState();
-    if (state.tid == kNoTid) SetCurrentThreadName("main");
+    if (state.tid == kNoTid) {
+      if (state.name.empty()) state.name = "main";
+      CurrentTid();
+    }
   }
   enabled_.store(on, std::memory_order_relaxed);
 }
@@ -63,20 +68,19 @@ std::uint32_t Tracer::CurrentTid() {
   if (state.tid == kNoTid) {
     std::lock_guard<std::mutex> lock(mu_);
     state.tid = static_cast<std::uint32_t>(thread_names_.size());
-    thread_names_.push_back("thread-" + std::to_string(state.tid));
+    thread_names_.push_back(state.name.empty()
+                                ? "thread-" + std::to_string(state.tid)
+                                : state.name);
   }
   return state.tid;
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
   ThreadState& state = LocalState();
+  state.name = name;
+  if (state.tid == kNoTid) return;  // the lane takes it when registered
   std::lock_guard<std::mutex> lock(mu_);
-  if (state.tid == kNoTid) {
-    state.tid = static_cast<std::uint32_t>(thread_names_.size());
-    thread_names_.push_back(name);
-  } else {
-    thread_names_[state.tid] = name;
-  }
+  thread_names_[state.tid] = name;
 }
 
 void Tracer::Begin(std::string name) {

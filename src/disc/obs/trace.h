@@ -8,9 +8,11 @@
 //
 // Thread safety: each thread keeps its own open-span stack (spans nest per
 // thread), and every completed span carries a small per-thread lane id, so
-// the Chrome export shows one lane per pool worker. The thread that calls
-// set_enabled(true) is named "main"; ThreadPool workers register themselves
-// as "pool-worker-<i>"; other threads get "thread-<tid>" on first use.
+// the Chrome export shows one lane per pool worker. A thread registers its
+// lane when it records its first span, so threads that never trace (every
+// pool worker of an untraced run) leave nothing behind. The thread that
+// calls set_enabled(true) registers at once as "main"; ThreadPool workers
+// name themselves "pool-worker-<i>"; other threads get "thread-<tid>".
 // Completed events funnel into one mutex-guarded buffer — spans wrap coarse
 // phases (a mine run, a partition, a pool task), never per-sequence work,
 // so the lock is cold.
@@ -57,8 +59,9 @@ class Tracer {
   /// Closes the calling thread's innermost open span and records its Event.
   void End();
 
-  /// Names the calling thread's lane in trace exports. Assigns the lane id
-  /// on first call from a thread; later calls rename.
+  /// Names the calling thread's lane in trace exports: renames a
+  /// registered lane, or names the lane the thread registers with its
+  /// first span. Registers nothing by itself.
   void SetCurrentThreadName(const std::string& name);
 
   /// Completed events. Only meaningful at quiescent points (no concurrent

@@ -106,8 +106,8 @@ class SequenceDatabase {
   /// --- Cached content hash ---
   ///
   /// The .dsa loader stores the file's verified content hash here, so
-  /// FirstLevelState::ContentHash (and through it the engine QueryCache
-  /// fingerprint) never rescans a mapped database. Cleared by any mutation.
+  /// ContentHash (seq/storage.h), and through it the engine QueryCache
+  /// fingerprint, never rescans a mapped database. Cleared by any mutation.
   void SetCachedContentHash(std::uint64_t hash) {
     content_hash_ = hash;
     has_content_hash_ = true;

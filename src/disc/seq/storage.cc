@@ -68,34 +68,6 @@ std::uint64_t HashBytes(const void* data, std::size_t len) {
   return h;
 }
 
-// Value-wise FNV-1a over the logical contents of the CSR sections.
-// Bit-for-bit the walk FirstLevelState::ContentHash performs on an
-// in-memory database: per sequence its transaction count, then per
-// transaction its size followed by its items. Changing either breaks
-// every existing .dsa file's content hash.
-std::uint64_t HashSections(const std::uint32_t* seq_offsets,
-                           std::uint64_t sequences,
-                           const std::uint32_t* txn_offsets,
-                           const std::uint32_t* items) {
-  std::uint64_t h = kFnvOffset;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= kFnvPrime;
-  };
-  for (std::uint64_t s = 0; s < sequences; ++s) {
-    const std::uint32_t t0 = seq_offsets[s];
-    const std::uint32_t t1 = seq_offsets[s + 1];
-    mix(t1 - t0);
-    for (std::uint32_t t = t0; t < t1; ++t) {
-      mix(txn_offsets[t + 1] - txn_offsets[t]);
-      for (std::uint32_t p = txn_offsets[t]; p < txn_offsets[t + 1]; ++p) {
-        mix(items[p]);
-      }
-    }
-  }
-  return h;
-}
-
 Status DataLossAt(const std::string& context, std::string msg) {
   return Status::DataLoss(context + ": " + std::move(msg));
 }
@@ -162,6 +134,34 @@ DsaInfo InfoFromHeader(const DsaHeaderRaw& hdr) {
 
 }  // namespace
 
+std::uint64_t ContentHash(const SequenceDatabase& db) {
+  // The .dsa loader verified this exact hash against the file and cached
+  // it on the database, so mapped databases never rescan.
+  if (db.has_cached_content_hash()) return db.cached_content_hash();
+  // Value-wise FNV-1a over the CSR sections. The loader's validation pass
+  // (TryFromDsaBytes) folds in the same values in the same order; changing
+  // either walk breaks every existing .dsa file's content hash.
+  const SequenceArena& arena = db.arena();
+  const std::uint32_t* seq_offsets = arena.RawSeqOffsets();
+  const std::uint32_t* txn_offsets = arena.RawTxnOffsets();
+  const Item* items = arena.RawItems();
+  std::uint64_t h = kFnvOffset;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= kFnvPrime;
+  };
+  for (std::size_t s = 0; s < arena.size(); ++s) {
+    mix(seq_offsets[s + 1] - seq_offsets[s]);
+    for (std::uint32_t t = seq_offsets[s]; t < seq_offsets[s + 1]; ++t) {
+      mix(txn_offsets[t + 1] - txn_offsets[t]);
+      for (std::uint32_t p = txn_offsets[t]; p < txn_offsets[t + 1]; ++p) {
+        mix(items[p]);
+      }
+    }
+  }
+  return h;
+}
+
 bool IsDsaPath(const std::string& path) {
   constexpr const char kExt[] = ".dsa";
   constexpr std::size_t kExtLen = sizeof(kExt) - 1;
@@ -195,11 +195,7 @@ std::string PackDsaString(const SequenceDatabase& db,
   hdr.shard_count = meta.shard_count;
   hdr.total_customers =
       meta.total_customers > 0 ? meta.total_customers : sequences;
-  hdr.content_hash =
-      db.has_cached_content_hash()
-          ? db.cached_content_hash()
-          : HashSections(arena.RawSeqOffsets(), sequences,
-                         arena.RawTxnOffsets(), arena.RawItems());
+  hdr.content_hash = ContentHash(db);
   hdr.header_hash = HashBytes(&hdr, offsetof(DsaHeaderRaw, header_hash));
 
   std::string out;
@@ -295,7 +291,9 @@ StatusOr<SequenceDatabase> TryFromDsaBytes(
 
   // Items: non-sentinel and strictly ascending within each transaction
   // (the Sequence invariant every miner scan relies on); the running max
-  // must land on the header's, and the content walk doubles as the hash.
+  // must land on the header's, and the content walk doubles as the hash:
+  // bit-for-bit ContentHash's walk, fused here so a load reads the
+  // sections once.
   std::uint64_t h = kFnvOffset;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;

@@ -14,10 +14,10 @@
 //
 // Integrity is two FNV-1a hashes: `header_hash` covers the header bytes
 // before it (any metadata flip is caught before the counts are trusted),
-// and `content_hash` covers the logical contents — bit-for-bit the same
-// walk as FirstLevelState::ContentHash, so the loader's verification pass
-// doubles as the engine QueryCache fingerprint (the hash is cached on the
-// returned database and never recomputed). Every load validates
+// and `content_hash` covers the logical contents (ContentHash below), so
+// the loader's verification pass doubles as the engine QueryCache
+// fingerprint (the hash is cached on the returned database and never
+// recomputed). Every load validates
 // exhaustively: exact file size from the counts, monotone offsets, sorted
 // non-zero items. A file that passes cannot make the miners read out of
 // bounds; a file that fails comes back as a clean Status, never UB
@@ -69,6 +69,17 @@ struct DsaInfo {
   DsaShardMeta shard;
   std::uint64_t content_hash = 0;
 };
+
+/// FNV-1a over the database's logical contents: per sequence its
+/// transaction count, then per transaction its size followed by its items.
+/// The sizes fold in itemset boundaries, so <(1 2)> and <(1)(2)> hash
+/// differently even though their flattened items agree; the transaction
+/// count folds in sequence boundaries, so a corrupted sequence-offsets
+/// section is caught by this hash alone (docs/STORAGE.md). It is the .dsa
+/// header's `content_hash` and the engine's database fingerprint
+/// (core/first_level.h). One O(n) pass, or O(1) on a database loaded from
+/// a .dsa file, which caches its verified hash.
+std::uint64_t ContentHash(const SequenceDatabase& db);
 
 /// True when `path` names a .dsa arena file (case-sensitive ".dsa"
 /// suffix) — the dispatch rule Engine::LoadPath and the CLIs use.

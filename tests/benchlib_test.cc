@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "disc/benchlib/report.h"
 #include "disc/benchlib/workload.h"
+#include "disc/common/file_util.h"
+#include "disc/obs/json.h"
+#include "disc/obs/trace.h"
 #include "disc/seq/parse.h"
 
 namespace disc {
@@ -130,6 +135,66 @@ TEST(Benchlib, ValidatorRejectsBrokenReports) {
       "\"peak_rss_bytes\":0,\"counters\":{}}]}";
   EXPECT_FALSE(ValidateBenchReportJson(no_wall, &error));
   EXPECT_NE(error.find("wall_seconds"), std::string::npos);
+}
+
+// Every miner through a bench driver's --json-out and --trace-out: the
+// session validates the report it writes, and the files it leaves hold
+// one run and one mine/<miner> span per miner.
+TEST(Benchlib, EveryMinerPassesThroughJsonAndTraceOut) {
+  const std::string json_path = ::testing::TempDir() + "/benchlib_obs.json";
+  const std::string trace_path = ::testing::TempDir() + "/benchlib_trace.json";
+  std::string json_flag = "--json-out=" + json_path;
+  std::string trace_flag = "--trace-out=" + trace_path;
+  char name[] = "benchlib_test";
+  char* argv[] = {name, json_flag.data(), trace_flag.data()};
+  const Flags flags = Flags::Parse(3, argv);
+
+  QuestParams params;
+  params.ncust = 120;
+  params.nitems = 100;
+  params.slen = 6;
+  params.tlen = 2.5;
+  const SequenceDatabase db = GenerateQuestDatabase(params);
+  MineOptions options;
+  options.min_support_count = MineOptions::CountForFraction(db.size(), 0.05);
+
+  ObsSession obs("benchlib", flags);
+  WorkloadInfo workload = MakeWorkloadInfo(db, "quest:benchlib");
+  workload.min_support_count = options.min_support_count;
+  obs.SetWorkload(workload);
+  const std::vector<std::string> miners = AllMinerNames();
+  for (const std::string& miner : miners) {
+    obs.Record(TimeMine(CreateMiner(miner).get(), db, options).stats);
+  }
+  const bool finished = obs.Finish();
+  obs::Tracer::Global().set_enabled(false);
+  ASSERT_TRUE(finished);
+
+  std::string text;
+  ASSERT_TRUE(ReadFileToString(json_path, &text).ok());
+  std::string error;
+  EXPECT_TRUE(ValidateBenchReportJson(text, &error)) << error;
+  obs::JsonValue report;
+  ASSERT_TRUE(obs::JsonParse(text, &report, &error)) << error;
+  const std::vector<obs::JsonValue>& runs =
+      report.Find("runs")->array_items();
+  ASSERT_EQ(runs.size(), miners.size());
+  for (std::size_t i = 0; i < miners.size(); ++i) {
+    EXPECT_EQ(runs[i].Find("miner")->string_value(), miners[i]);
+  }
+
+  ASSERT_TRUE(ReadFileToString(trace_path, &text).ok());
+  obs::JsonValue trace;
+  ASSERT_TRUE(obs::JsonParse(text, &trace, &error)) << error;
+  std::set<std::string> spans;
+  for (const obs::JsonValue& e : trace.Find("traceEvents")->array_items()) {
+    if (e.Find("ph")->string_value() == "X") {
+      spans.insert(e.Find("name")->string_value());
+    }
+  }
+  for (const std::string& miner : miners) {
+    EXPECT_TRUE(spans.contains("mine/" + miner)) << miner;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // per-run harvesting, span nesting, and trace/JSON well-formedness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "disc/algo/miner.h"
+#include "disc/common/thread_pool.h"
 #include "disc/obs/json.h"
 #include "disc/obs/metrics.h"
 #include "disc/obs/mine_stats.h"
@@ -19,7 +21,6 @@ class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     MetricsRegistry::Global().ResetAll();
-    MetricsRegistry::Global().set_enabled(true);
     Tracer::Global().Clear();
     Tracer::Global().set_enabled(false);
   }
@@ -121,19 +122,6 @@ TEST_F(ObsTest, HistogramsHarvestAsCountAndSum) {
   EXPECT_EQ(counters[1].second, 8u);
 }
 
-#if DISC_OBS_ENABLED
-TEST_F(ObsTest, MacrosHonorRuntimeToggle) {
-  DISC_OBS_COUNTER(g_toggled, "test.toggled");
-  DISC_OBS_INC(g_toggled);
-  MetricsRegistry::Global().set_enabled(false);
-  DISC_OBS_INC(g_toggled);
-  DISC_OBS_ADD(g_toggled, 100);
-  MetricsRegistry::Global().set_enabled(true);
-  DISC_OBS_INC(g_toggled);
-  EXPECT_EQ(MetricsRegistry::Global().counter("test.toggled")->value(), 2u);
-}
-#endif  // DISC_OBS_ENABLED
-
 TEST_F(ObsTest, StatsHarvestFillsMineStats) {
   StatsHarvest harvest;
   MetricsRegistry::Global().counter("test.work")->Add(42);
@@ -232,6 +220,62 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
   }
   EXPECT_EQ(complete_events, 2u);
 }
+
+// The lane names of the Chrome export, in lane-id order.
+std::vector<std::string> LaneNames() {
+  JsonValue root;
+  std::string error;
+  EXPECT_TRUE(JsonParse(Tracer::Global().ToChromeTraceJson(), &root, &error))
+      << error;
+  std::vector<std::string> lanes;
+  for (const JsonValue& e : root.Find("traceEvents")->array_items()) {
+    if (e.Find("name")->string_value() == "thread_name") {
+      lanes.push_back(e.Find("args")->Find("name")->string_value());
+    }
+  }
+  return lanes;
+}
+
+TEST_F(ObsTest, UntracedPoolsLeaveNoLanes) {
+  // Lanes are never dropped, so count the ones earlier tests in this
+  // process left.
+  const std::size_t before = LaneNames().size();
+  for (int i = 0; i < 50; ++i) {
+    ThreadPool pool(4);
+    for (int t = 0; t < 4; ++t) pool.Submit([](std::size_t) {});
+    pool.Wait();
+  }
+  Tracer::Global().set_enabled(true);
+  const std::vector<std::string> lanes = LaneNames();
+  ASSERT_GE(lanes.size(), before);
+  // Enabling registers the calling thread as "main", unless an earlier test
+  // already did; the 200 untraced workers add nothing.
+  EXPECT_LE(lanes.size(), before + 1);
+  EXPECT_NE(std::find(lanes.begin(), lanes.end(), "main"), lanes.end());
+  if (lanes.size() > before) {
+    EXPECT_EQ(lanes.back(), "main");
+  }
+}
+
+#if DISC_OBS_ENABLED
+TEST_F(ObsTest, PoolTaskSpansLandOnWorkerLanes) {
+  Tracer::Global().set_enabled(true);
+  {
+    ThreadPool pool(2);
+    pool.Submit([](std::size_t) {});
+    pool.Wait();
+  }
+  const std::vector<std::string> lanes = LaneNames();
+  std::size_t task_spans = 0;
+  for (const Tracer::Event& e : Tracer::Global().events()) {
+    if (e.name != "pool/task") continue;
+    ++task_spans;
+    ASSERT_LT(e.tid, lanes.size());
+    EXPECT_EQ(lanes[e.tid].rfind("pool-worker-", 0), 0u) << lanes[e.tid];
+  }
+  EXPECT_EQ(task_spans, 1u);
+}
+#endif  // DISC_OBS_ENABLED
 
 TEST_F(ObsTest, JsonWriterEscapesAndParserRoundTrips) {
   JsonWriter w;

@@ -198,7 +198,6 @@ TEST(Scheduler, NonStandardExceptionIsContainedToo) {
 TEST(Scheduler, TelemetryStartedEqualsDonePlusAborted) {
   obs::RunRegistry& registry = obs::RunRegistry::Global();
   registry.ResetForTest();
-  registry.set_enabled(true);
   for (const std::size_t workers : kWorkerCounts) {
     for (const bool fail : {false, true}) {
       const std::string label = "workers=" + std::to_string(workers) +

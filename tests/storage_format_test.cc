@@ -133,19 +133,19 @@ TEST(DsaFormat, RoundTripPreservesEverySequence) {
 }
 
 TEST(DsaFormat, ContentHashMatchesFirstLevelWalk) {
-  // The stored hash and FirstLevelState::ContentHash must be bit-for-bit
-  // the same walk: the loader's verified hash doubles as the engine
-  // QueryCache fingerprint. This test pins the two implementations
-  // together — if either walk changes, it fails.
+  // The loader's fused validate-and-hash pass and ContentHash, the engine
+  // QueryCache fingerprint, must be bit-for-bit the same walk: the
+  // loader's verified hash doubles as the fingerprint. This test pins the
+  // two walks together — if either changes, it fails.
   const SequenceDatabase db = testutil::Table6Database();
   DsaInfo info;
   auto loaded = LoadFromString(PackDsaString(db), &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.content_hash, FirstLevelState::ContentHash(db));
+  EXPECT_EQ(info.content_hash, ContentHash(db));
   // And the loaded copy serves it from the cache, no rescan.
   ASSERT_TRUE(loaded->has_cached_content_hash());
   EXPECT_EQ(loaded->cached_content_hash(), info.content_hash);
-  EXPECT_EQ(FirstLevelState::ContentHash(*loaded), info.content_hash);
+  EXPECT_EQ(ContentHash(*loaded), info.content_hash);
 }
 
 TEST(DsaFormat, EmptyDatabaseRoundTrips) {

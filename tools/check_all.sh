@@ -17,19 +17,21 @@
 #   $ tools/check_all.sh
 set -euo pipefail
 
-cd "$(dirname "$0")"
+# From the repo root: the legs that take a binary cd there before they
+# look for it, so every path below is root-relative.
+cd "$(dirname "$0")/.."
 
-./check_asan.sh
-./check_tsan.sh
-./check_failpoints.sh ../build-asan/examples/seqmine
-./check_obs.sh ../build-asan/examples/seqmine
-./check_server.sh ../build-asan/examples/seqmined ../build-asan/examples/seqmine
-./check_storage.sh ../build-asan/examples/seqmine ../build-asan/examples/seqmined
-./check_perf.sh
-cmake -B ../build-obs-off -S .. -DCMAKE_BUILD_TYPE=Release \
+tools/check_asan.sh
+tools/check_tsan.sh
+tools/check_failpoints.sh build-asan/examples/seqmine
+tools/check_obs.sh build-asan/examples/seqmine
+tools/check_server.sh build-asan/examples/seqmined build-asan/examples/seqmine
+tools/check_storage.sh build-asan/examples/seqmine build-asan/examples/seqmined
+tools/check_perf.sh
+cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
   -DDISC_ENABLE_OBS=OFF >/dev/null
-cmake --build ../build-obs-off -j "$(nproc)"
-(cd ../build-obs-off && ctest --output-on-failure -j "$(nproc)")
-./check_obs_cost.sh
+cmake --build build-obs-off -j "$(nproc)"
+(cd build-obs-off && ctest --output-on-failure -j "$(nproc)")
+tools/check_obs_cost.sh
 
 echo "all checks passed"
