@@ -45,10 +45,8 @@ void Tracer::set_enabled(bool on) {
     // The enabling thread is the driver: it registers its lane now, as
     // "main" unless it already has another name.
     ThreadState& state = LocalState();
-    if (state.tid == kNoTid) {
-      if (state.name.empty()) state.name = "main";
-      CurrentTid();
-    }
+    if (state.tid == kNoTid && state.name.empty()) state.name = "main";
+    CurrentTid();
   }
   enabled_.store(on, std::memory_order_relaxed);
 }
