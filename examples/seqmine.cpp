@@ -418,8 +418,8 @@ int main(int argc, char** argv) {
   }
 
   // One-shot client: a single query gains nothing from the first-level
-  // cache (it would pay the alphabet build to use it once), and mining
-  // happens on the calling session's worker.
+  // cache (it would pay the state build and a content hash at load to use
+  // them once), and mining happens on the calling session's worker.
   disc::engine::Engine::Config config;
   config.session_threads = 1;
   config.enable_cache = false;

@@ -55,12 +55,13 @@ class Context {
     }
     // Frequent 1-sequences and their customers, as DISC's root finds them
     // (core/first_level.h): one scan counts the item supports, a second
-    // lists the customers of each frequent item.
+    // lists the customers of each frequent item with the first transaction
+    // holding it.
     const std::uint32_t delta = options_.min_support_count;
     const std::vector<std::uint32_t> support = CountItemSupport(db_);
     DISC_OBS_ADD(g_support_inc, std::accumulate(support.begin(), support.end(),
                                                  std::uint64_t{0}));
-    std::vector<std::vector<Cid>> members_of =
+    std::vector<std::vector<FirstLevelMember>> members_of =
         CollectPartitionMembers(db_, support, delta);
 
     for (Item x = 1; x <= db_.max_item(); ++x) {
@@ -70,18 +71,18 @@ class Context {
       out_.Add(prefix, support[x]);
       if (options_.max_length == 1) continue;
       // Project on the leftmost occurrence of x in each sequence containing
-      // it; the projection then replaces the list.
+      // it, in the transaction the member list recorded; the projection
+      // then replaces the list.
       std::vector<Point> points;
       points.reserve(members_of[x].size());
-      for (const Cid cid : members_of[x]) {
-        const SequenceView s = db_[cid];
-        std::uint32_t t = 0;
-        while (!s.TxnContains(t, x)) ++t;
-        const Item* pos = std::lower_bound(s.TxnBegin(t), s.TxnEnd(t), x);
+      for (const FirstLevelMember& m : members_of[x]) {
+        const SequenceView s = db_[m.cid];
+        const Item* begin = s.TxnBegin(m.txn);
+        const Item* pos = std::lower_bound(begin, s.TxnEnd(m.txn), x);
         points.push_back(
-            {s, t, static_cast<std::uint32_t>(pos - s.TxnBegin(t)) + 1});
+            {s, m.txn, static_cast<std::uint32_t>(pos - begin) + 1});
       }
-      std::vector<Cid>().swap(members_of[x]);
+      std::vector<FirstLevelMember>().swap(members_of[x]);
       Recurse(prefix, {x}, points);
     }
     return std::move(out_);

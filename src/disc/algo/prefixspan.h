@@ -15,10 +15,11 @@
 // transaction is a sequence extension). Each node counts those extensions
 // with the counting array of paper §3.1 (core/counting_array.h), the one
 // DISC counts with; a node's points are distinct customers, so a point's
-// index serves as its CID. The frequent items and the customers of each
-// come from the first-level scans DISC's root uses (core/first_level.h),
-// so building the level-1 projections costs two passes over the database
-// rather than one per frequent item.
+// index serves as its CID. The frequent items and the customers of each,
+// with the first transaction holding it, come from the first-level scans
+// DISC's root uses (core/first_level.h), so building the level-1
+// projections costs two passes over the database rather than one per
+// frequent item, and no projection searches for its item again.
 #ifndef DISC_ALGO_PREFIXSPAN_H_
 #define DISC_ALGO_PREFIXSPAN_H_
 

@@ -1,12 +1,15 @@
 // Threshold-independent first-level mining state, shared across queries.
 //
 // DISC's front matter — the per-item support counts and the first-level
-// ⟨λ⟩-partition memberships — does not depend on the support threshold delta at all: the ⟨λ⟩-partition is
-// *exactly* the customer sequences containing λ (disc_all.h step 2), and a
-// query only decides which λ are frequent enough to mine. A resident
-// engine serving a minsup sweep therefore computes this state once per
-// loaded database and hands it to every subsequent run (engine/engine.h),
-// which skips straight to partition mining.
+// ⟨λ⟩-partition memberships — does not depend on the support threshold
+// delta at all: the ⟨λ⟩-partition is *exactly* the customer sequences
+// containing λ (disc_all.h step 2), and a query only decides which λ are
+// frequent enough to mine. Nor does each member's leftmost transaction
+// holding λ, its level-1 projection point (PrefixSpan's (sequence, pos)
+// pair), where every level-1 scan starts. A resident engine serving a
+// minsup sweep therefore computes this state once per loaded database and
+// hands it to every subsequent run (engine/engine.h), which skips straight
+// to partition mining.
 //
 // Contract: a FirstLevelState is a pure function of the database it was
 // built from, and reusing it never changes which patterns are emitted: the
@@ -25,9 +28,19 @@
 
 namespace disc {
 
-/// Precomputed step-1/step-2 artifacts of one database. Immutable after
-/// BuildFirstLevelState; safe to share read-only across pool workers and
-/// concurrent engine sessions.
+/// A member of the ⟨(λ)⟩-partition: a customer sequence containing λ, and
+/// the leftmost of its transactions that holds λ. The counting scan, the
+/// reduction and PrefixSpan's level-1 projection all start there.
+struct FirstLevelMember {
+  Cid cid = 0;
+  std::uint32_t txn = 0;
+  friend bool operator==(const FirstLevelMember&,
+                         const FirstLevelMember&) = default;
+};
+
+/// Precomputed step-1/step-2 artifacts of one database. Immutable once
+/// shared; safe to share read-only across pool workers and concurrent
+/// engine sessions.
 struct FirstLevelState {
   /// Fingerprint of the source database (Matches below): cheap shape
   /// aggregates plus a content hash (ContentHash, seq/storage.h). The hash
@@ -44,15 +57,17 @@ struct FirstLevelState {
   /// applied — that is the point).
   std::vector<std::uint32_t> item_support;
 
-  /// First-level partition memberships: members_of[x] = the CIDs of the
-  /// sequences containing x, ascending. members_of[x].size() ==
-  /// item_support[x].
-  std::vector<std::vector<Cid>> members_of;
+  /// First-level partition memberships: members_of[x] = the sequences
+  /// containing x, ascending by CID, each with its first transaction
+  /// holding x. members_of[x].size() == item_support[x].
+  std::vector<std::vector<FirstLevelMember>> members_of;
 
   /// True when this state was built from a database with the same
-  /// fingerprint (shape aggregates + content hash). Callers probing several
-  /// cached states against one database (engine/query_cache.cc) should
-  /// compute ContentHash once and use the two-argument overload.
+  /// fingerprint (shape aggregates + content hash). ContentHash is O(1) on
+  /// a database that caches its hash (an engine-resident or .dsa-loaded
+  /// one) and one O(n) walk otherwise; callers probing several cached
+  /// states against one database (engine/query_cache.cc) compute it once
+  /// and use the two-argument overload.
   bool Matches(const SequenceDatabase& db) const {
     return Matches(db, ContentHash(db));
   }
@@ -67,17 +82,21 @@ struct FirstLevelState {
   std::size_t SizeBytes() const;
 };
 
-/// Calls fn(cid, x) once per distinct item x of each sequence of `db`, in
-/// ascending cid order: a per-item stamp of the last cid that reported it
-/// skips repeats. The one scan behind every per-item support below.
+/// Calls fn(cid, txn, x) once per distinct item x of each sequence of `db`,
+/// in ascending cid order, with txn the sequence's first transaction
+/// holding x: a per-item stamp of the last cid that reported it skips
+/// repeats. The one scan behind every per-item support below.
 template <typename Fn>
 void ForEachDistinctItem(const SequenceDatabase& db, Fn&& fn) {
   std::vector<Cid> seen(db.max_item() + 1, 0);
   for (Cid cid = 0; cid < db.size(); ++cid) {
-    for (const Item x : db[cid].items()) {
-      if (seen[x] != cid + 1) {
-        seen[x] = cid + 1;
-        fn(cid, x);
+    const SequenceView s = db[cid];
+    for (std::uint32_t t = 0; t < s.NumTransactions(); ++t) {
+      for (const Item* p = s.TxnBegin(t); p != s.TxnEnd(t); ++p) {
+        if (seen[*p] != cid + 1) {
+          seen[*p] = cid + 1;
+          fn(cid, t, *p);
+        }
       }
     }
   }
@@ -87,18 +106,20 @@ void ForEachDistinctItem(const SequenceDatabase& db, Fn&& fn) {
 /// sequences of `db` containing x, for x in [0, db.max_item()]. One scan.
 std::vector<std::uint32_t> CountItemSupport(const SequenceDatabase& db);
 
-/// The first-level ⟨x⟩-partitions: members_of[x] = the CIDs of the sequences
-/// containing x, ascending, for every x with support[x] >= min_support
-/// (`support` from CountItemSupport; the other lists stay empty). One scan.
-std::vector<std::vector<Cid>> CollectPartitionMembers(
+/// The first-level ⟨x⟩-partitions: members_of[x] = the sequences
+/// containing x, ascending by CID, each with its first transaction holding
+/// x, for every x with support[x] >= min_support (`support` from
+/// CountItemSupport; the other lists stay empty). One scan.
+std::vector<std::vector<FirstLevelMember>> CollectPartitionMembers(
     const SequenceDatabase& db, const std::vector<std::uint32_t>& support,
     std::uint32_t min_support);
 
-/// Builds the state in two database scans plus one partition-major alphabet
-/// sweep (cost: sum over items x of the total length of the ⟨x⟩-partition's
-/// sequences — the same order as one reduce pass of a full mine). Bumps the
-/// "disc.first_level.builds" counter.
-std::shared_ptr<const FirstLevelState> BuildFirstLevelState(
+/// Builds the state: the content hash (O(1) when `db` caches it), then two
+/// database scans, one for the item supports and one for every item's
+/// members and their first transactions. Bumps the
+/// "disc.first_level.builds" counter. The caller may adjust the state
+/// before sharing it (core/shard.cc masks λ-ranges this way).
+std::shared_ptr<FirstLevelState> BuildFirstLevelState(
     const SequenceDatabase& db);
 
 /// Seam grown by the miners that can start from precomputed first-level

@@ -102,12 +102,12 @@ Sequence ReduceCustomerSequence(SequenceView s, Item lambda,
 }
 
 std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
+                                         std::uint32_t min_txn,
                                          const CountingArray& counts2,
                                          std::uint32_t delta,
                                          std::uint32_t min_length,
                                          SequenceArena* out) {
-  const std::uint32_t min_txn = MinTxnOf(s, lambda);
-  DISC_CHECK_MSG(min_txn != kNoTxn, "partition member lacks its λ");
+  DISC_DCHECK(min_txn == MinTxnOf(s, lambda));
 
   // Kept items stream straight into the scratch arena; a kept subset of a
   // sorted transaction is itself sorted, so the arena's build invariant

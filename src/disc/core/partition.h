@@ -59,7 +59,9 @@ class ChildSlots {
 /// <(λ)(x)> / <(λx)> are all non-frequent. λ itself is never dropped.
 /// `counts2` must hold the partition's 2-sequence counting array. The
 /// result may be empty or shorter than 3 items (the caller drops those).
-/// Neither reducer counts its calls: the partition recursion publishes
+/// This owning form searches for the minimum point itself and is the
+/// tests' reference for ReduceCustomerSequenceInto. Neither reducer counts
+/// its calls: the partition recursion publishes
 /// "partition.reduced_sequences" once per root child.
 Sequence ReduceCustomerSequence(SequenceView s, Item lambda,
                                 const CountingArray& counts2,
@@ -68,11 +70,15 @@ Sequence ReduceCustomerSequence(SequenceView s, Item lambda,
 /// Allocation-free variant of ReduceCustomerSequence for the partition hot
 /// path: appends the reduced sequence into `out` (a per-worker scratch
 /// arena, reused across partitions) instead of materializing an owning
-/// Sequence. Returns the reduced length; when it comes out below
-/// `min_length` the appended sequence is rolled back and 0 is returned.
-/// Produces exactly the sequence ReduceCustomerSequence would (the
-/// equivalence is pinned by tests/partition_test.cc).
+/// Sequence. `min_txn` is the minimum point, the leftmost transaction of
+/// `s` holding λ, as the member's FirstLevelMember records it
+/// (core/first_level.h), so the reduction never searches for λ. Returns
+/// the reduced length; when it comes out below `min_length` the appended
+/// sequence is rolled back and 0 is returned. Produces exactly the
+/// sequence ReduceCustomerSequence would (the equivalence is pinned by
+/// tests/partition_test.cc).
 std::uint32_t ReduceCustomerSequenceInto(SequenceView s, Item lambda,
+                                         std::uint32_t min_txn,
                                          const CountingArray& counts2,
                                          std::uint32_t delta,
                                          std::uint32_t min_length,

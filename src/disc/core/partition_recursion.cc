@@ -161,12 +161,13 @@ class Recursion {
     // every frequent item it contains, in ascending order, so membership
     // never depends on earlier children's results. The children are
     // therefore independently minable, and, being threshold-independent,
-    // their member lists are reusable verbatim from the cached state.
-    std::vector<std::vector<Cid>> members_local;
+    // their member lists, with each member's first transaction holding λ,
+    // are reusable verbatim from the cached state.
+    std::vector<std::vector<FirstLevelMember>> members_local;
     if (fl_ == nullptr) {
       members_local = CollectPartitionMembers(db_, support, delta_);
     }
-    const std::vector<std::vector<Cid>>& members_of =
+    const std::vector<std::vector<FirstLevelMember>>& members_of =
         fl_ != nullptr ? fl_->members_of : members_local;
     for (std::size_t i = 0; i < lambdas.size(); ++i) {
       DISC_CHECK(members_of[lambdas[i]].size() == weights[i]);
@@ -317,11 +318,13 @@ class Recursion {
   }
 
   // Mines the root child ⟨(λ)⟩ whose members are the customer sequences
-  // `cids` (Figure 2, steps 2.1.1-2.1.3), using (and warming) `scratch`.
-  // A pure function of the database, the options and the arguments:
-  // distinct root children share nothing but the read-only database, which
-  // is what makes their fan-out safe.
-  void MineRootChild(Item lambda, const std::vector<Cid>& cids,
+  // containing λ, each with its first transaction holding λ (Figure 2,
+  // steps 2.1.1-2.1.3), using (and warming) `scratch`. A pure function of
+  // the database, the options and the arguments: distinct root children
+  // share nothing but the read-only database, which is what makes their
+  // fan-out safe.
+  void MineRootChild(Item lambda,
+                     const std::vector<FirstLevelMember>& members,
                      Scratch* scratch, PartitionResult* result) const {
     if (scratch->warm) {
       DISC_OBS_INC(g_scratch_reuses);
@@ -329,22 +332,22 @@ class Recursion {
       scratch->warm = true;
     }
     DISC_OBS_INC(g_first_level_partitions);
-    DISC_OBS_RECORD(g_first_level_size, cids.size());
-    result->level0_ratio =
-        static_cast<double>(cids.size()) / static_cast<double>(db_.size());
+    DISC_OBS_RECORD(g_first_level_size, members.size());
+    result->level0_ratio = static_cast<double>(members.size()) /
+                           static_cast<double>(db_.size());
 
     Sequence pat1;
     pat1.AppendNewItemset(lambda);
 
     // Frequent 2-sequences with prefix λ, in one counting-array scan of
-    // the original sequences (§3.1), one pass per member from λ's first
-    // transaction.
+    // the original sequences (§3.1), one pass per member from its recorded
+    // first transaction holding λ.
     CountingArray& counts = scratch->counts;
     counts.Reset();
-    for (const Cid cid : cids) {
-      ForEachExtensionOfItem(db_[cid], lambda,
-                             [&counts, cid](Item x, ExtType type) {
-                               counts.Add(x, type, cid);
+    for (const FirstLevelMember& m : members) {
+      ForEachExtensionOfItem(db_[m.cid], lambda, m.txn,
+                             [&counts, &m](Item x, ExtType type) {
+                               counts.Add(x, type, m.cid);
                              });
     }
     Level& level = scratch->level(1);
@@ -354,7 +357,8 @@ class Recursion {
         pat1, level.freq, counts, &result->patterns, &support_sum);
     if (level.freq.empty() || options_.max_length == 2) return;
     // Decided on the unreduced members, which the supports count.
-    const bool split = Split(1, support_sum, level.freq.size(), cids.size());
+    const bool split =
+        Split(1, support_sum, level.freq.size(), members.size());
 
     // Fault-injection hook covering the scratch/reduction path (the
     // allocation-heavy part of a partition mine).
@@ -381,9 +385,9 @@ class Recursion {
     indexes.clear();
     SequenceArena& arena = scratch->arena;
     arena.Clear();
-    for (const Cid cid : cids) {
-      if (ReduceCustomerSequenceInto(db_[cid], lambda, counts, delta_, 3,
-                                     &arena) == 0) {
+    for (const FirstLevelMember& m : members) {
+      if (ReduceCustomerSequenceInto(db_[m.cid], lambda, m.txn, counts,
+                                     delta_, 3, &arena) == 0) {
         continue;
       }
       const SequenceView red = arena.back();
@@ -396,7 +400,7 @@ class Recursion {
         indexes.pop_back();
       }
     }
-    DISC_OBS_ADD(g_reduced, cids.size());
+    DISC_OBS_ADD(g_reduced, members.size());
     // The append phase is over, so views of the survivors stay valid.
     result->arena_bytes = arena.SizeBytes();
 
@@ -428,7 +432,7 @@ class Recursion {
     if (nonempty > 0) {
       result->level1_ratio = static_cast<double>(child_sum) /
                              (static_cast<double>(nonempty) *
-                              static_cast<double>(cids.size()));
+                              static_cast<double>(members.size()));
       result->has_level1 = true;
     }
 
@@ -531,7 +535,8 @@ PatternSet MinePartitionRecursion(const SequenceDatabase& db,
                                   const FirstLevelState* fl) {
   DISC_CHECK(options.min_support_count >= 1);
   // A stale first-level state would silently mine wrong partitions
-  // (core/first_level.h).
+  // (core/first_level.h). O(1) on an engine's database, which caches its
+  // content hash.
   if (fl != nullptr) DISC_CHECK(fl->Matches(db));
   return Recursion(db, options, plan, ctl, tel, fl).Execute();
 }

@@ -123,20 +123,21 @@ MineResult MineShardRange(Miner& miner, const SequenceDatabase& shard_db,
         " cannot mine a λ-range: it does not consume first-level state");
     return result;
   }
-  const std::shared_ptr<const FirstLevelState> base =
-      BuildFirstLevelState(shard_db);
-  // Mask every out-of-range λ: support 0 means the partition scheduler
-  // never visits it, so the miner emits exactly the patterns whose first
-  // item lies in [lambda_lo, lambda_hi]. The fingerprint fields stay
+  // Mask every out-of-range λ in the state just built, before anything
+  // shares it, so one state per shard is ever alive: support 0 means the
+  // partition scheduler never visits it, so the miner emits exactly the
+  // patterns whose first item lies in [lambda_lo, lambda_hi], and the
+  // masked member lists are freed. The fingerprint fields stay
   // untouched — the state is still "of" shard_db.
-  auto masked = std::make_shared<FirstLevelState>(*base);
-  for (std::size_t x = 0; x < masked->item_support.size(); ++x) {
+  const std::shared_ptr<FirstLevelState> state =
+      BuildFirstLevelState(shard_db);
+  for (std::size_t x = 0; x < state->item_support.size(); ++x) {
     if (x < lambda_lo || x > lambda_hi) {
-      masked->item_support[x] = 0;
-      masked->members_of[x].clear();
+      state->item_support[x] = 0;
+      std::vector<FirstLevelMember>().swap(state->members_of[x]);
     }
   }
-  consumer->ProvideFirstLevel(std::move(masked));
+  consumer->ProvideFirstLevel(state);
   MineResult result = miner.TryMine(shard_db, options);
   consumer->ProvideFirstLevel(nullptr);
   return result;

@@ -97,7 +97,7 @@ WeightedPatternSet MineWeighted(const SequenceDatabase& db,
   // Weighted-frequent 1-sequences: one scan accumulating distinct items'
   // weights.
   std::vector<double> item_weight(db.max_item() + 1, 0.0);
-  ForEachDistinctItem(db, [&](Cid cid, Item x) {
+  ForEachDistinctItem(db, [&](Cid cid, std::uint32_t, Item x) {
     item_weight[x] += options.weights[cid];
   });
   std::vector<Sequence> list;

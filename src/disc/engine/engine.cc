@@ -89,6 +89,11 @@ LoadInfo Engine::LoadDatabase(SequenceDatabase db) {
 }
 
 LoadInfo Engine::Install(SequenceDatabase db, std::size_t skipped) {
+  // With the cache on, hash the contents once per load, as the .dsa loader
+  // does (ContentHash returns its verified hash without a walk): every
+  // cache probe and the miner's stale-state check then read the
+  // fingerprint in O(1). A one-shot engine (cache off) pays no walk.
+  if (config_.enable_cache) db.SetCachedContentHash(ContentHash(db));
   auto shared = std::make_shared<const SequenceDatabase>(std::move(db));
   LoadInfo info;
   info.sequences = shared->size();

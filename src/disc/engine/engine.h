@@ -5,9 +5,12 @@
 // serves MineRequests through sessions dispatched on an internal
 // ThreadPool. The point of residency: a minsup sweep over one database —
 // the shape of every experiment in the paper — pays for the item-support
-// scan and the ⟨λ⟩-partition memberships exactly once; each subsequent query starts at partition mining
-// ("disc.cache.hits"). Pattern output is byte-identical with the cache on
-// or off, at any thread count (tests/engine_test.cc).
+// scan, the ⟨λ⟩-partition memberships with their level-1 projection
+// points, and the content hash behind the cache's fingerprint exactly
+// once, the hash at load and the rest at the first query; each subsequent
+// query starts at partition mining ("disc.cache.hits"). Pattern output is
+// byte-identical with the cache on or off, at any thread count
+// (tests/engine_test.cc).
 //
 // Every entry point drives this layer: the seqmine CLI is a one-shot
 // client (examples/seqmine.cpp), seqmined speaks the line protocol over it
@@ -151,9 +154,10 @@ class Engine {
     /// Worker threads serving sessions (concurrent *queries*; each query's
     /// own mining parallelism is MineOptions::threads).
     std::uint32_t session_threads = 2;
-    /// When false, sessions never consult the QueryCache — the one-shot
-    /// CLI path, where building first-level state for a single query is
-    /// pure overhead. Output is byte-identical either way.
+    /// When false, sessions never consult the QueryCache and loads hash
+    /// nothing — the one-shot CLI path, where building first-level state
+    /// for a single query is pure overhead. Output is byte-identical
+    /// either way.
     bool enable_cache = true;
     /// QueryCache LRU capacity: how many databases keep warm first-level
     /// state at once (>= 1; see query_cache.h).
@@ -168,9 +172,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Loads an SPMF file as the resident database. kIoError / kDataLoss on
-  /// failure (the previous database stays). The QueryCache is untouched:
-  /// slots are fingerprint-keyed, so the old database's state can never
-  /// serve the new one, and re-loading a cached database hits warm state.
+  /// failure (the previous database stays). With the cache on, every load
+  /// caches the database's content hash (SetCachedContentHash), so cache
+  /// probes and the miners' stale-state checks never walk it. The
+  /// QueryCache is untouched: slots are fingerprint-keyed, so the old
+  /// database's state can never serve the new one, and re-loading a
+  /// cached database hits warm state.
   StatusOr<LoadInfo> LoadSpmf(const std::string& path,
                               const ParseOptions& options = {});
 

@@ -26,11 +26,13 @@ void QueryCache::UpdateBytes() {
 
 std::shared_ptr<const FirstLevelState> QueryCache::GetOrBuild(
     const SequenceDatabase& db, bool* hit) {
+  // The content hash is read once per query, not per slot, and outside
+  // the lock. An engine database caches it from its load (Engine::Install),
+  // so this is O(1); any other database pays one O(n) walk here.
+  const std::uint64_t hash = ContentHash(db);
   std::lock_guard<std::mutex> lock(mu_);
   // Linear scan: capacity is a handful of slots, and each probe is one
-  // fingerprint comparison — a map would cost more than it saves. The
-  // content hash is one O(n) pass, paid once per query, not per slot.
-  const std::uint64_t hash = ContentHash(db);
+  // fingerprint comparison — a map would cost more than it saves.
   for (Slot& slot : lru_) {
     if (slot.state->Matches(db, hash)) {
       slot.last_used = ++tick_;

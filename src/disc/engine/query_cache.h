@@ -14,6 +14,9 @@
 // Thread safety: GetOrBuild is serialized by a mutex (a build runs under
 // it, so concurrent sessions asking for the same state block and then hit
 // — building twice would waste the exact work the cache exists to save).
+// The database's content hash is read before the lock is taken; an
+// engine's databases cache it at load, so a hit holds the lock for a few
+// fingerprint comparisons.
 // The hit/miss/byte/eviction accessors are lock-free local atomics, live
 // even when the metrics registry is compiled out; the same events also
 // land on the "disc.cache.hits" / "disc.cache.misses" /

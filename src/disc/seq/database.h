@@ -105,9 +105,11 @@ class SequenceDatabase {
 
   /// --- Cached content hash ---
   ///
-  /// The .dsa loader stores the file's verified content hash here, so
+  /// The .dsa loader stores the file's verified content hash here, and an
+  /// engine with its cache on stores the hash it computes at load, so
   /// ContentHash (seq/storage.h), and through it the engine QueryCache
-  /// fingerprint, never rescans a mapped database. Cleared by any mutation.
+  /// fingerprint, never rescans a resident database. Cleared by any
+  /// mutation.
   void SetCachedContentHash(std::uint64_t hash) {
     content_hash_ = hash;
     has_content_hash_ = true;

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "disc/common/check.h"
 #include "disc/order/compare.h"
 #include "disc/seq/containment.h"
 #include "disc/seq/index.h"
@@ -159,28 +160,25 @@ void ForEachExtension(SequenceView s, const Sequence& pattern, Fn&& fn,
                            static_cast<Fn&&>(fn), index);
 }
 
-/// ForEachExtension(s, ⟨(x)⟩) in one pass over `s`: the same (item, type)
-/// occurrences, repeats included, in another order, and none when `s` lacks
-/// x. The transaction of x's first occurrence reports its items above x as
-/// i-extensions; each later transaction reports every item as an
-/// s-extension and, when it holds x, each item above x as an i-extension
-/// too. A one-itemset pattern has no prefix end, so the generic scan walks
-/// `s` once to embed x, once for the s-extensions and once more from
-/// transaction 0 for the i-extensions; a root child's counting scan (§3.1)
-/// runs this form instead.
+/// ForEachExtension(s, ⟨(x)⟩) in one pass over `s` from `first_txn`, the
+/// leftmost transaction holding x: the same (item, type) occurrences,
+/// repeats included, in another order. `s` must contain x, and `first_txn`
+/// is its recorded level-1 projection point (FirstLevelMember,
+/// core/first_level.h), so no scan searches for x again. That transaction
+/// reports its items above x as i-extensions; each later transaction
+/// reports every item as an s-extension and, when it holds x, each item
+/// above x as an i-extension too. A one-itemset pattern has no prefix end,
+/// so the generic scan walks `s` once to embed x, once for the
+/// s-extensions and once more from transaction 0 for the i-extensions; a
+/// root child's counting scan (§3.1) runs this form instead.
 template <typename Fn>
-void ForEachExtensionOfItem(SequenceView s, Item x, Fn&& fn) {
+void ForEachExtensionOfItem(SequenceView s, Item x, std::uint32_t first_txn,
+                            Fn&& fn) {
+  DISC_DCHECK(s.TxnContains(first_txn, x));
   const std::uint32_t n = s.NumTransactions();
-  std::uint32_t t = 0;
-  const Item* p = nullptr;
-  for (; t < n; ++t) {
-    const Item* const end = s.TxnEnd(t);
-    p = s.TxnBegin(t);
-    while (p != end && *p < x) ++p;
-    if (p != end && *p == x) break;
-  }
-  if (t == n) return;
-  for (++p; p != s.TxnEnd(t); ++p) fn(*p, ExtType::kItemset);
+  std::uint32_t t = first_txn;
+  const Item* p = std::upper_bound(s.TxnBegin(t), s.TxnEnd(t), x);
+  for (; p != s.TxnEnd(t); ++p) fn(*p, ExtType::kItemset);
   for (++t; t < n; ++t) {
     const Item* const end = s.TxnEnd(t);
     for (p = s.TxnBegin(t); p != end && *p < x; ++p) {

@@ -77,8 +77,9 @@ struct DsaInfo {
 /// count folds in sequence boundaries, so a corrupted sequence-offsets
 /// section is caught by this hash alone (docs/STORAGE.md). It is the .dsa
 /// header's `content_hash` and the engine's database fingerprint
-/// (core/first_level.h). One O(n) pass, or O(1) on a database loaded from
-/// a .dsa file, which caches its verified hash.
+/// (core/first_level.h). One O(n) pass, or O(1) on a database that caches
+/// its hash: one loaded from a .dsa file, or resident in an engine with
+/// its cache on.
 std::uint64_t ContentHash(const SequenceDatabase& db);
 
 /// True when `path` names a .dsa arena file (case-sensitive ".dsa"

@@ -7,6 +7,8 @@
 // (parallel_determinism_test.cc).
 #include "disc/engine/engine.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +17,8 @@
 
 #include "disc/algo/pattern_io.h"
 #include "disc/core/first_level.h"
+#include "disc/seq/io.h"
+#include "disc/seq/storage.h"
 #include "test_util.h"
 
 namespace disc {
@@ -43,23 +47,59 @@ TEST(FirstLevelStateTest, MatchesFingerprint) {
   EXPECT_GT(state->SizeBytes(), 0u);
 }
 
-TEST(FirstLevelStateTest, AgreesWithBruteForce) {
-  const SequenceDatabase db = testutil::Table6Database();
+// The ⟨(x)⟩-partition by brute force: every sequence containing x, with
+// its leftmost transaction holding x.
+std::vector<FirstLevelMember> BruteMembers(const SequenceDatabase& db,
+                                           Item x) {
+  std::vector<FirstLevelMember> members;
+  for (Cid cid = 0; cid < db.size(); ++cid) {
+    const SequenceView s = db[cid];
+    for (std::uint32_t t = 0; t < s.NumTransactions(); ++t) {
+      if (std::find(s.TxnBegin(t), s.TxnEnd(t), x) != s.TxnEnd(t)) {
+        members.push_back({cid, t});
+        break;
+      }
+    }
+  }
+  return members;
+}
+
+void ExpectStateAgreesWithBruteForce(const SequenceDatabase& db) {
   const auto state = BuildFirstLevelState(db);
   ASSERT_EQ(state->item_support.size(), db.max_item() + 1u);
   ASSERT_EQ(state->members_of.size(), db.max_item() + 1u);
+  std::size_t later_points = 0;  // members whose x is not in transaction 0
   for (Item x = 0; x <= db.max_item(); ++x) {
-    std::vector<Cid> members;
-    for (Cid cid = 0; cid < db.size(); ++cid) {
-      bool contains = false;
-      for (const Item item : db[cid].items()) {
-        if (item == x) contains = true;
-      }
-      if (contains) members.push_back(cid);
-    }
+    const std::vector<FirstLevelMember> members = BruteMembers(db, x);
     EXPECT_EQ(state->item_support[x], members.size()) << "item " << x;
     EXPECT_EQ(state->members_of[x], members) << "item " << x;
+    for (const FirstLevelMember& m : members) later_points += m.txn > 0;
   }
+  EXPECT_GT(later_points, 0u);
+}
+
+TEST(FirstLevelStateTest, AgreesWithBruteForce) {
+  ExpectStateAgreesWithBruteForce(testutil::Table6Database());
+  ExpectStateAgreesWithBruteForce(EngineDb());
+
+  // Above δ = 1 only the frequent items' lists are filled, each whole.
+  const SequenceDatabase db = EngineDb();
+  const std::vector<std::uint32_t> support = CountItemSupport(db);
+  const std::uint32_t delta = 12;
+  const std::vector<std::vector<FirstLevelMember>> members_of =
+      CollectPartitionMembers(db, support, delta);
+  ASSERT_EQ(members_of.size(), db.max_item() + 1u);
+  std::size_t frequent = 0;
+  for (Item x = 0; x <= db.max_item(); ++x) {
+    if (support[x] >= delta) {
+      ++frequent;
+      EXPECT_EQ(members_of[x], BruteMembers(db, x)) << "item " << x;
+    } else {
+      EXPECT_TRUE(members_of[x].empty()) << "item " << x;
+    }
+  }
+  EXPECT_GT(frequent, 0u);
+  EXPECT_LT(frequent, db.max_item());
 }
 
 TEST(QueryCacheTest, HitMissLifecycle) {
@@ -140,6 +180,33 @@ TEST(EngineTest, CachedMatchesUncachedByteForByte) {
   EXPECT_EQ(uncached.cache().hits() + uncached.cache().misses(), 0u)
       << "enable_cache=false must never consult the cache";
   EXPECT_GE(cached.cache().hits(), 1u);
+}
+
+// With the cache on, every load hashes the database once and caches the
+// hash on it, so a cache hit's fingerprint check and the miner's
+// stale-state check never walk it; a one-shot engine (cache off) pays for
+// no hash.
+TEST(EngineTest, LoadCachesContentHashOnlyWithCacheOn) {
+  const std::uint64_t want = ContentHash(EngineDb());
+  const std::string path = ::testing::TempDir() + "/engine_load_hash.spmf";
+  ASSERT_TRUE(SaveSpmf(EngineDb(), path));
+
+  engine::Engine cached;
+  ASSERT_TRUE(cached.LoadSpmf(path).ok());
+  ASSERT_TRUE(cached.database()->has_cached_content_hash());
+  EXPECT_EQ(cached.database()->cached_content_hash(), want);
+  cached.LoadDatabase(EngineDb());
+  ASSERT_TRUE(cached.database()->has_cached_content_hash());
+  EXPECT_EQ(cached.database()->cached_content_hash(), want);
+
+  engine::Engine::Config config;
+  config.enable_cache = false;
+  engine::Engine one_shot(config);
+  ASSERT_TRUE(one_shot.LoadSpmf(path).ok());
+  EXPECT_FALSE(one_shot.database()->has_cached_content_hash());
+  one_shot.LoadDatabase(EngineDb());
+  EXPECT_FALSE(one_shot.database()->has_cached_content_hash());
+  std::remove(path.c_str());
 }
 
 TEST(EngineTest, SecondQueryHitsRegardlessOfThreshold) {

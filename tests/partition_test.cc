@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "disc/core/first_level.h"
 #include "disc/order/kmin_brute.h"
 #include "disc/seq/containment.h"
 #include "test_util.h"
@@ -286,33 +287,33 @@ TEST(Reduce, SoundnessOnRandomData) {
 TEST(Reduce, ArenaReducerMatchesReference) {
   // The miner's arena reducer must produce exactly the owning reference
   // reduction, dropping (and rolling back) the ones shorter than 3 items.
-  // One warm arena serves every partition, as a worker's scratch does.
+  // One warm arena serves every partition, as a worker's scratch does. The
+  // arena reducer starts at each member's recorded first transaction
+  // holding λ, taken from the first-level scan as the miner takes it; the
+  // reference searches for that transaction itself.
   const SequenceDatabase db = testutil::RandomDatabase(7);
   const std::uint32_t delta = 2;
+  const std::vector<std::vector<FirstLevelMember>> members_of =
+      CollectPartitionMembers(db, CountItemSupport(db), 1);
   SequenceArena arena;
   std::size_t kept = 0;
   for (Item lambda = 1; lambda <= db.max_item(); ++lambda) {
     Sequence pat1;
     pat1.AppendNewItemset(lambda);
-    std::vector<Cid> members;
     CountingArray counts(db.max_item());
-    for (Cid cid = 0; cid < db.size(); ++cid) {
-      const auto items = db[cid].items();
-      if (std::find(items.begin(), items.end(), lambda) == items.end()) {
-        continue;
-      }
-      members.push_back(cid);
-      ForEachExtension(db[cid], pat1, [&counts, cid](Item x, ExtType type) {
-        counts.Add(x, type, cid);
+    for (const FirstLevelMember& m : members_of[lambda]) {
+      ForEachExtension(db[m.cid], pat1, [&counts, &m](Item x, ExtType type) {
+        counts.Add(x, type, m.cid);
       });
     }
     arena.Clear();
-    for (const Cid cid : members) {
+    for (const FirstLevelMember& m : members_of[lambda]) {
+      const Cid cid = m.cid;
       const Sequence ref =
           ReduceCustomerSequence(db[cid], lambda, counts, delta);
       const std::size_t before = arena.size();
-      const std::uint32_t length =
-          ReduceCustomerSequenceInto(db[cid], lambda, counts, delta, 3, &arena);
+      const std::uint32_t length = ReduceCustomerSequenceInto(
+          db[cid], lambda, m.txn, counts, delta, 3, &arena);
       if (ref.Length() < 3) {
         EXPECT_EQ(length, 0u) << ref.ToString();
         EXPECT_EQ(arena.size(), before);
